@@ -3,8 +3,10 @@ with power-splitting wireless energy transfer.
 
 The core pipeline: generate a channel (`scenario`), optimize the relay
 beamformer, receive combiner and per-user power splits (`design`,
-`optimizer`, backed by the `sdp` solver and `numerics`), verify the rate
-targets, and aggregate Monte Carlo sweeps (`harness`). `lattice` holds the
+`optimizer`: both subproblems are solved exactly over span{h1, h2}), verify
+the rate targets, and aggregate Monte Carlo sweeps (`harness`). The `sdp`
+interior-point solver (with `numerics`) is kept as an independent
+certificate of the beamformer step, which the tests use. `lattice` holds the
 nested-lattice compute-and-forward primitives. See the README for the CLI.
 """
 

@@ -214,11 +214,14 @@ def min_power_beamformer(h_list, a_list, tol_feas=1e-8, tol_gap=1e-7,
     the rank-one pair (P_r, f). Constraints with a_i <= 0 are vacuous and
     dropped.
 
-    The relaxation always admits a rank-one optimum (two quadratic
-    constraints), but on tie-degenerate channels the interior-point method
-    lands in the middle of a flat optimal face; the face walk in
-    `reduce_rank` then restores a rank-one optimizer. A rescaled
-    dominant-eigenvector projection remains as a logged last resort.
+    This is the paper's semidefinite relaxation of the beamformer step. It
+    is tight (two quadratic constraints admit a rank-one optimum), so it
+    serves as an independent certificate of the exact `solve_beamformer`;
+    the tests call it, the sweep path does not. On tie-degenerate channels
+    the interior-point method lands in the middle of a flat optimal face;
+    the face walk in `reduce_rank` then restores a rank-one optimizer. A
+    rescaled dominant-eigenvector projection remains as a logged last
+    resort.
     """
     n = len(h_list[0])
     active = [(np.asarray(h, dtype=complex), float(a))
@@ -261,9 +264,17 @@ def min_power_beamformer(h_list, a_list, tol_feas=1e-8, tol_gap=1e-7,
 
 
 def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
-    """Optimal beamformer for a fixed combiner."""
+    """Optimal beamformer for a fixed combiner.
+
+    min_f max_i a_i/|h_i^T f|^2 is the combiner problem on conj(h1),
+    conj(h2) with rho = a and mu = 0, which `min_level_combiner` solves
+    exactly; F = p_r f f^H is rank one by construction.
+    """
     a = constraint_rhs(params, g, channel)
-    return min_power_beamformer([channel.h1, channel.h2], a)
+    sol = min_level_combiner([np.conj(channel.h1), np.conj(channel.h2)],
+                             a, (0.0, 0.0))
+    return BeamformerDesign(F=sol.p_r_implied * sol.G, p_r=sol.p_r_implied,
+                            f=sol.g.conj(), rank_ratio=0.0)
 
 
 class CombinerDesign(NamedTuple):
@@ -298,38 +309,33 @@ def _combiner_objective(u, h_vecs, rho, mu):
 
 
 def _frontier_combiner(h_vecs, rho, mu):
-    """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
+    """Exact minimizer u of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
 
     The optimal u lies in span{h1, h2}; with q1 aligned to h1 and the
     in-span phase chosen to add the two components of h2 coherently, the
-    search reduces to one mixing angle phi. Along phi the first term is
-    increasing and the second decreasing, so the optimum is either an
-    endpoint or the crossing, found by bisection.
+    search reduces to one mixing angle phi, along which the gains are
+    x1 = n1^2 cos^2 phi and x2 = (|c1| cos phi + c2 sin phi)^2. The first
+    term is increasing in phi and the second decreasing, so the optimum is
+    either an endpoint or the crossing, found by bisection.
     """
     h1, h2 = h_vecs
-    n1 = np.linalg.norm(h1)
+    n1 = float(np.linalg.norm(h1))
     q1 = h1 / n1
     c1 = complex(np.vdot(q1, h2))
     r = h2 - c1 * q1
     c2 = float(np.linalg.norm(r))
 
     if c2 < 1e-12 * max(1.0, np.linalg.norm(h2)):
-        u = q1  # collinear channels: matched filtering serves both users
-        return u, _combiner_objective(u, h_vecs, rho, mu)
+        return q1  # collinear channels: matched filtering serves both users
 
     q2 = r / c2
-    phase = c1 / abs(c1) if abs(c1) > 0 else 1.0
-
-    def u_of(phi):
-        # coherent mixing: u^H h2 = cos(phi)|c1| + sin(phi) c2 (plus phase)
-        return math.cos(phi) * phase * q1 + math.sin(phi) * q2
-
-    phi_max = math.atan2(c2, abs(c1))
+    a1 = abs(c1)
+    phase = c1 / a1 if a1 > 0 else 1.0
+    phi_max = math.atan2(c2, a1)
 
     def terms(phi):
-        u = u_of(phi)
-        x1 = float(np.abs(np.vdot(u, h1)) ** 2)
-        x2 = float(np.abs(np.vdot(u, h2)) ** 2)
+        x1 = (n1 * math.cos(phi)) ** 2
+        x2 = (a1 * math.cos(phi) + c2 * math.sin(phi)) ** 2
         t1 = rho[0] / x1 + mu[0] if x1 > _GAIN_FLOOR else np.inf
         t2 = rho[1] / x2 + mu[1] if x2 > _GAIN_FLOOR else np.inf
         return t1, t2
@@ -354,18 +360,16 @@ def _frontier_combiner(h_vecs, rho, mu):
         phi_star = 0.5 * (lo + hi)
 
     best_phi = min((0.0, phi_max, phi_star), key=lambda p: max(*terms(p)))
-    u = u_of(best_phi)
-    return u, _combiner_objective(u, h_vecs, rho, mu)
+    return math.cos(best_phi) * phase * q1 + math.sin(best_phi) * q2
 
 
-def min_level_combiner(h_vecs, rho, mu, method="frontier",
-                       level_tol=1e-9) -> CombinerDesign:
-    """Core combiner optimization with explicit coefficients.
+def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
+    """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
 
     Users with rho_i = mu_i = 0 are dropped (degenerate single-user case).
-    ``method`` selects the exact in-span angle search ("frontier") or the
-    level-set bisection with SDP feasibility subproblems ("bisection"); both
-    meet the same contract and are cross-checked in the tests.
+    The same two-user routine serves the combiner step (`solve_combiner`)
+    and the beamformer step (`solve_beamformer`, on the conjugate channels
+    with rho = a and mu = 0).
     """
     h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
     n = len(h_vecs[0])
@@ -380,87 +384,18 @@ def min_level_combiner(h_vecs, rho, mu, method="frontier",
         u = np.ones(1, dtype=complex)
     elif len(hs) == 1:
         u = hs[0] / np.linalg.norm(hs[0])  # matched filter
-    elif method == "frontier":
-        u, _ = _frontier_combiner(hs, rs, ms)
-    elif method == "bisection":
-        u = _bisection_combiner(hs, rs, ms, level_tol)
     else:
-        raise ValueError(f"unknown combiner method {method!r}")
+        u = _frontier_combiner(hs, rs, ms)
 
     obj = _combiner_objective(u, hs, rs, ms)
     big_g = np.outer(u, u.conj())
     return CombinerDesign(G=big_g, g=u.conj(), p_r_implied=obj)
 
 
-def _bisection_combiner(h_vecs, rho, mu, level_tol):
-    """Level search: at level s each user needs |u^H h_i|^2 >= rho_i/(s - mu_i).
-    Feasibility of a level is certified by a small margin-maximization SDP,
-    and the final matrix is projected onto its dominant eigenvector."""
-    n = len(h_vecs[0])
-    b_mats = [np.outer(h, h.conj()) for h in h_vecs]
-
-    candidates = [h / np.linalg.norm(h) for h in h_vecs]
-    candidates.append(np.ones(n, dtype=complex) / math.sqrt(n))
-    hi = np.inf
-    u_best = candidates[0]
-    for u in candidates:
-        val = _combiner_objective(u, h_vecs, rho, mu)
-        if val < hi:
-            hi, u_best = val, u
-    lo = max(mu) * (1 + 1e-12) + 1e-15
-
-    # Seeded with the incumbent's rank-one matrix: used verbatim when every
-    # probed level below hi turns out infeasible.
-    state = {"G": np.outer(u_best, u_best.conj())}
-
-    def feasible(s):
-        need = [r / (s - m) for r, m in zip(rho, mu)]
-        dim = n + 1
-        cons = []
-        for b, c in zip(b_mats, need):
-            a = np.zeros((dim, dim), dtype=complex)
-            a[:n, :n] = b
-            a[n, n] = -c
-            cons.append((a, sdp.GE, 0.0))
-        tr = np.zeros((dim, dim))
-        tr[:n, :n] = np.eye(n)
-        cons.append((tr, sdp.EQ, 1.0))
-        obj = np.zeros((dim, dim))
-        obj[n, n] = 1.0
-        sol = sdp.solve_sdp(sdp.SdpInstance(dim, obj, "max", cons))
-        if sol.status != "optimal":
-            raise SolverFailureError(f"level feasibility SDP status {sol.status}")
-        t = float(np.real(sol.X[n, n]))
-        ok = t >= 1.0 - 1e-9
-        if ok:
-            state["G"] = sol.X[:n, :n]
-        return ok
-
-    if hi <= lo:
-        return u_best
-    level = sdp.bisect_level(feasible, lo, hi, tol=level_tol * max(1.0, hi),
-                             check_endpoints=False)
-    g_mat = numerics.hermitian(state["G"])
-    _, _, ratio = rank_one_extract(g_mat)
-    if ratio > RANK_RATIO_TOL:
-        need = [r / (level - m) for r, m in zip(rho, mu)]
-
-        def feas(cand):
-            return all(numerics.trace_inner(b, cand) >= c * (1.0 - 1e-9)
-                       for b, c in zip(b_mats, need))
-
-        g_mat = reduce_rank(g_mat, b_mats, check=feas)
-    _, u, _ = rank_one_extract(g_mat)
-    if _combiner_objective(u_best, h_vecs, rho, mu) < _combiner_objective(u, h_vecs, rho, mu):
-        u = u_best
-    return u
-
-
-def solve_combiner(f, channel, params: SystemParams,
-                   method="frontier") -> CombinerDesign:
+def solve_combiner(f, channel, params: SystemParams) -> CombinerDesign:
     """Optimal combiner for a fixed beamformer."""
     rho, mu = combiner_coefficients(f, channel, params)
-    return min_level_combiner([channel.h1, channel.h2], rho, mu, method=method)
+    return min_level_combiner([channel.h1, channel.h2], rho, mu)
 
 
 def beta_interval(p_r, f, g, channel, params: SystemParams, user: int):

@@ -1,7 +1,9 @@
 """Alternating transceiver optimization and the compared baseline schemes.
 
 Scheme 1 alternates the beamformer and combiner subproblems from the
-uniform combiner start until the relay power stalls. Schemes 2-4 freeze one
+uniform combiner start until the relay power stalls. Both subproblems are
+solved exactly by the two-user frontier routine of `design`, so no
+semidefinite program runs on this path. Schemes 2-4 freeze one
 or both vectors: equal-gain weights are per-antenna unit-magnitude, phase
 matched to the sum channel (the symmetric choice for two simultaneous
 users); an unphased variant is available for sensitivity checks.
@@ -64,17 +66,7 @@ def _rel_change(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _beamformer_with_retry(g, channel, params):
-    try:
-        return solve_beamformer(g, channel, params)
-    except (InfeasibleError, SolverFailureError):
-        from .design import constraint_rhs, min_power_beamformer
-        a = constraint_rhs(params, g, channel)
-        return min_power_beamformer([channel.h1, channel.h2], a,
-                                    tol_feas=1e-9, tol_gap=1e-8, max_iter=400)
-
-
-def _alternate_from(g_init, channel, params, max_iter, rel_tol, combiner_method):
+def _alternate_from(g_init, channel, params, max_iter, rel_tol):
     """One alternation run from a given combiner start.
 
     The recorded power sequence is non-increasing up to solver tolerance:
@@ -89,10 +81,10 @@ def _alternate_from(g_init, channel, params, max_iter, rel_tol, combiner_method)
     p_g = None
     p_g_prev = None
     for _ in range(max_iter):
-        bf = _beamformer_with_retry(g, channel, params)
+        bf = solve_beamformer(g, channel, params)
         f = bf.f
         p_f = bf.p_r
-        comb = solve_combiner(f, channel, params, method=combiner_method)
+        comb = solve_combiner(f, channel, params)
         if comb.p_r_implied <= p_f:
             g = comb.g
             p_g = comb.p_r_implied
@@ -113,8 +105,7 @@ def _alternate_from(g_init, channel, params, max_iter, rel_tol, combiner_method)
 
 
 def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
-              rel_tol: float = DEFAULT_REL_TOL,
-              combiner_method: str = "frontier", multi_start: bool = True,
+              rel_tol: float = DEFAULT_REL_TOL, multi_start: bool = True,
               extra_g_inits=()) -> AlternationTrace:
     """Joint beamformer/combiner/power-splitter design by alternation.
 
@@ -134,8 +125,7 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
         g_inits.append(np.conj(channel.h1) / np.linalg.norm(channel.h1))
         g_inits.append(np.conj(channel.h2) / np.linalg.norm(channel.h2))
         f_eg = equal_gain_vector(channel, phased=True)
-        g_inits.append(solve_combiner(f_eg, channel, params,
-                                      method=combiner_method).g)
+        g_inits.append(solve_combiner(f_eg, channel, params).g)
         g_inits.extend(np.asarray(g, dtype=complex) for g in extra_g_inits)
 
     best = None
@@ -146,8 +136,7 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
             continue
         seen.append(g0)
         try:
-            trace = _alternate_from(g0, channel, params, max_iter, rel_tol,
-                                    combiner_method)
+            trace = _alternate_from(g0, channel, params, max_iter, rel_tol)
         except (DegenerateChannelError, InfeasibleError, SolverFailureError) as exc:
             # e.g. a matched-filter start that zeroes the other user's gain
             first_error = first_error or exc
@@ -170,8 +159,7 @@ class SchemeResult:
 
 def run_scheme(scheme, channel, params: SystemParams,
                max_iter: int = DEFAULT_MAX_ITER, rel_tol: float = DEFAULT_REL_TOL,
-               equal_gain_phased: bool = True,
-               combiner_method: str = "frontier") -> SchemeResult:
+               equal_gain_phased: bool = True) -> SchemeResult:
     """Solve one channel under one of the four compared schemes."""
     scheme = SchemeId(scheme)
     if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
@@ -183,24 +171,22 @@ def run_scheme(scheme, channel, params: SystemParams,
         extra = [g_eg]
         try:
             f_eg = equal_gain_vector(channel, phased=equal_gain_phased)
-            extra.append(solve_combiner(f_eg, channel, params,
-                                        method=combiner_method).g)
+            extra.append(solve_combiner(f_eg, channel, params).g)
         except (DegenerateChannelError, InfeasibleError, SolverFailureError):
             pass
         trace = alternate(channel, params, max_iter=max_iter, rel_tol=rel_tol,
-                          combiner_method=combiner_method,
                           extra_g_inits=tuple(extra))
         return SchemeResult(trace.final, trace.n_iterations, trace)
 
     if scheme is SchemeId.BF_PS_EGC_RECEIVER:
         g = equal_gain_vector(channel, phased=equal_gain_phased)
-        bf = _beamformer_with_retry(g, channel, params)
+        bf = solve_beamformer(g, channel, params)
         p_r = required_power(bf.f, g, channel, params)
         return SchemeResult(complete_design(bf.f, g, p_r, channel, params), 0)
 
     if scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
         f = equal_gain_vector(channel, phased=equal_gain_phased)
-        comb = solve_combiner(f, channel, params, method=combiner_method)
+        comb = solve_combiner(f, channel, params)
         p_r = required_power(f, comb.g, channel, params)
         return SchemeResult(complete_design(f, comb.g, p_r, channel, params), 0)
 

@@ -258,19 +258,31 @@ def test_c06_oracle_equivalence(op_params):
 
 
 def test_c07_rank_one_property(op_params):
+    """The beamformer SDP relaxation is tight (rank one), and its power
+    certifies the exact `solve_beamformer`, whose beamformer must also meet
+    both constraints, on every instance."""
     rng = np.random.default_rng(2024)
     worst = 0.0
     fallbacks = 0
+    worst_gap = 0.0
+    infeasible = 0
     for t in range(100):
         ch = gen_channel(trial_seed(777, t), 4)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         g /= np.linalg.norm(g)
-        bf = design.solve_beamformer(g, ch, op_params)
-        worst = max(worst, bf.rank_ratio)
-        fallbacks += 1 if bf.rank_ratio > 1e-6 else 0
-    ok = worst <= 1e-6
+        a = design.constraint_rhs(op_params, g, ch)
+        cert = design.min_power_beamformer([ch.h1, ch.h2], a)
+        worst = max(worst, cert.rank_ratio)
+        fallbacks += 1 if cert.rank_ratio > 1e-6 else 0
+        exact = design.solve_beamformer(g, ch, op_params)
+        worst_gap = max(worst_gap, abs(exact.p_r - cert.p_r) / cert.p_r)
+        infeasible += sum(exact.p_r * design.downlink_gain(exact.f, h)
+                          < ai * (1 - 1e-12) for ai, h in zip(a, (ch.h1, ch.h2)))
+    ok = worst <= 1e-6 and worst_gap <= 1e-6 and infeasible == 0
     _report(7, "rank-one-property", ok,
-            f"max rank ratio = {worst:.2e}, fallbacks = {fallbacks}/100")
+            f"max rank ratio = {worst:.2e}, fallbacks = {fallbacks}/100, "
+            f"max exact-vs-SDP power error = {worst_gap:.2e}, "
+            f"infeasible exact constraints = {infeasible}")
 
 
 def test_c08_beta_midpoint_identity(op_params):

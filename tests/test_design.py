@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cofrelay import design
+from cofrelay import design, numerics, sdp
 from cofrelay.errors import DegenerateChannelError, InfeasibleError
 from cofrelay.scenario import ChannelRealization, gen_channel, trial_seed
 
@@ -159,11 +159,45 @@ class TestBeamformer:
             assert bf.p_r <= probe + 1e-6
 
     def test_rank_one_on_random_channels(self):
+        # the SDP relaxation, not the exact path, whose F is rank one by
+        # construction
         rng = np.random.default_rng(7)
         for t in range(20):
             ch = rand_channel(t)
-            bf = design.solve_beamformer(rand_unit(rng, 4), ch, FIG2)
+            a = design.constraint_rhs(FIG2, rand_unit(rng, 4), ch)
+            bf = design.min_power_beamformer([ch.h1, ch.h2], a)
             assert bf.rank_ratio <= 1e-6
+
+    @pytest.mark.parametrize("case", ["collinear", "identical", "orthogonal",
+                                      "n1", "n8"])
+    def test_exact_matches_sdp_certificate(self, case, caplog):
+        rng = np.random.default_rng(14)
+        par, n = FIG2, 4
+        if case == "collinear":
+            h1 = rand_channel(4).h1
+            ch = ChannelRealization(h1=h1, h2=(0.3 - 0.7j) * h1, seed=0)
+        elif case == "identical":
+            h1 = rand_channel(5).h1
+            ch = ChannelRealization(h1=h1, h2=h1.copy(), seed=0)
+        elif case == "orthogonal":
+            par, n, ch = ORTH, 2, ORTH_CH
+        elif case == "n1":
+            par, n = design.SystemParams(N=1, eta=1.0, p_c=10.0, sigma2=0.01,
+                                         r1_bar=2.0, r2_bar=2.0), 1
+            ch = rand_channel(6, n=1)
+        else:
+            par, n = design.SystemParams(N=8, eta=1.0, p_c=10.0, sigma2=0.01,
+                                         r1_bar=2.0, r2_bar=2.0), 8
+            ch = rand_channel(7, n=8)
+        g = rand_unit(rng, n)
+        a = design.constraint_rhs(par, g, ch)
+        with caplog.at_level("WARNING", logger="cofrelay.design"):
+            bf = design.solve_beamformer(g, ch, par)
+        assert not caplog.records
+        for ai, h in zip(a, (ch.h1, ch.h2)):
+            assert bf.p_r * design.downlink_gain(bf.f, h) >= ai * (1 - 1e-12)
+        cert = design.min_power_beamformer([ch.h1, ch.h2], a)
+        assert bf.p_r == pytest.approx(cert.p_r, rel=1e-6)
 
     def test_rank_one_pair_feasible(self):
         rng = np.random.default_rng(8)
@@ -235,15 +269,67 @@ class TestCombiner:
             assert res.p_r_implied <= probe + 1e-6
 
     def test_methods_agree(self):
+        # At FIG2's circuit power one user's mu dominates and the optimum is
+        # a matched filter; without circuit power the two terms cross inside
+        # the frontier, which exercises the angle bisection.
+        low_pc = design.SystemParams(N=4, eta=1.0, p_c=0.0, sigma2=1.0,
+                                     r1_bar=0.5, r2_bar=0.5)
         rng = np.random.default_rng(12)
-        for t in range(6):
-            ch = rand_channel(t)
-            f = rand_unit(rng, 4)
-            rho, mu = design.combiner_coefficients(f, ch, FIG2)
-            a = design.min_level_combiner([ch.h1, ch.h2], rho, mu, method="frontier")
-            b = design.min_level_combiner([ch.h1, ch.h2], rho, mu, method="bisection")
-            assert b.p_r_implied == pytest.approx(a.p_r_implied, rel=1e-7)
-            assert b.p_r_implied >= a.p_r_implied - 1e-9
+        for par in (FIG2, low_pc):
+            for t in range(6):
+                ch = rand_channel(t)
+                f = rand_unit(rng, 4)
+                rho, mu = design.combiner_coefficients(f, ch, par)
+                a = design.min_level_combiner([ch.h1, ch.h2], rho, mu)
+                b = sdp_level_combiner([ch.h1, ch.h2], rho, mu)
+                assert b == pytest.approx(a.p_r_implied, rel=1e-7)
+                assert b >= a.p_r_implied - 1e-9
+
+
+def sdp_level_combiner(h_vecs, rho, mu):
+    """Reference for the exact combiner: bisection on the level s, where s is
+    feasible when some unit u has |u^H h_i|^2 >= rho_i/(s - mu_i) for both
+    users, certified by a margin-maximization SDP and projected onto its
+    dominant eigenvector. Returns the objective of the projected vector."""
+    h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
+    n = len(h_vecs[0])
+    b_mats = [np.outer(h, h.conj()) for h in h_vecs]
+
+    def objective(u):
+        return max(r / abs(np.vdot(u, h)) ** 2 + m
+                   for h, r, m in zip(h_vecs, rho, mu))
+
+    candidates = [h / np.linalg.norm(h) for h in h_vecs]
+    candidates.append(np.ones(n, dtype=complex) / np.sqrt(n))
+    u_best = min(candidates, key=objective)
+    hi = objective(u_best)
+    lo = max(mu) * (1 + 1e-12) + 1e-15
+    state = {"G": np.outer(u_best, u_best.conj())}
+
+    def feasible(s):
+        dim = n + 1
+        cons = []
+        for b, r, m in zip(b_mats, rho, mu):
+            a = np.zeros((dim, dim), dtype=complex)
+            a[:n, :n] = b
+            a[n, n] = -r / (s - m)
+            cons.append((a, sdp.GE, 0.0))
+        tr = np.zeros((dim, dim))
+        tr[:n, :n] = np.eye(n)
+        cons.append((tr, sdp.EQ, 1.0))
+        obj = np.zeros((dim, dim))
+        obj[n, n] = 1.0
+        sol = sdp.solve_sdp(sdp.SdpInstance(dim, obj, "max", cons))
+        assert sol.status == "optimal"
+        ok = float(np.real(sol.X[n, n])) >= 1.0 - 1e-9
+        if ok:
+            state["G"] = sol.X[:n, :n]
+        return ok
+
+    sdp.bisect_level(feasible, lo, hi, tol=1e-9 * max(1.0, hi),
+                     check_endpoints=False)
+    _, u, _ = design.rank_one_extract(numerics.hermitian(state["G"]))
+    return min(objective(u), objective(u_best))
 
 
 class TestBeta:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cofrelay import design, optimizer
-from cofrelay.scenario import ChannelRealization, gen_channel, trial_seed
+from cofrelay import design, optimizer, sdp
+from cofrelay.scenario import (ChannelRealization, fig2_preset, gen_channel,
+                               trial_seed, units_from_config, with_overrides)
 
 SCALAR = design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
                              r1_bar=0.5, r2_bar=0.5)
@@ -121,6 +122,21 @@ class TestSchemes:
         ch = rand_channel(5)
         res = optimizer.run_scheme(3, ch, FIG2)
         assert np.allclose(np.abs(res.design.f), 0.5)
+
+    def test_no_sdp_on_sweep_path(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SDP solver called on the sweep path")
+
+        monkeypatch.setattr(sdp, "solve_sdp", refuse)
+        cfg = fig2_preset(master_seed=1234)
+        for snr_db in (0.0, 20.0):
+            par = units_from_config(with_overrides(
+                cfg, snr_db=snr_db, axis="none", axis_values=()))
+            for t in range(3):
+                ch = gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                for scheme in (1, 2, 3, 4):
+                    res = optimizer.run_scheme(scheme, ch, par)
+                    assert res.design.p_r > 0
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
