@@ -160,9 +160,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    cfg = _build_config(args)
-    if cfg.n != 2 and args.n is None:
-        cfg = with_overrides(cfg, n=2)
+    if args.n not in (None, 2):
+        raise _UsageError("oracle-check supports --n 2 only")
+    if args.resolution < 32:
+        raise _UsageError("--resolution must be at least 32")
+    if args.channels < 1:
+        raise _UsageError("--channels must be at least 1")
+    cfg = with_overrides(_build_config(args), n=2)
     params = units_from_config(cfg)
     worst_hi = -float("inf")
     worst_lo = float("inf")

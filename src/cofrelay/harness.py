@@ -191,6 +191,26 @@ def failure_fraction(records) -> float:
     return sum(1 for r in records if r.status != "ok") / len(records)
 
 
+def pareto_front(x, y) -> np.ndarray:
+    """Indices of the 2-D Pareto front (skyline; Borzsonyi, Kossmann &
+    Stocker, ICDE 2001) of the points (x, y) for a minimum in both.
+
+    Points with a NaN coordinate are dropped. The rest are sorted by x, ties
+    by y, and a point is kept when its y is strictly below every y before it.
+    So no kept point has another point <= in both coordinates and < in one,
+    every dropped point has a kept point <= in both, and of equal points
+    only one is kept. The indices come back in ascending x.
+    """
+    x = np.asarray(x)
+    y = np.asarray(y)
+    idx = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
+    order = idx[np.lexsort((y[idx], x[idx]))]
+    ys = y[order]
+    keep = np.ones(len(ys), dtype=bool)
+    keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
+    return order[keep]
+
+
 def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     """Exhaustive minimum of the required relay power over unit f and g,
     N = 2 only.
@@ -199,6 +219,19 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     the grid covers t in [0, pi/2) and phi in [0, 2 pi) at the given
     resolution, with the two coordinate poles always appended so that doubling
     the resolution refines the candidate set monotonically.
+
+    The power of a pair is max(inv1[f] a1[g], inv2[f] a2[g]) with
+    inv_i = 1/hd_i and every factor positive, so a beamformer row whose
+    (inv1, inv2) are both >= those of another row never gives a smaller
+    value, and likewise a combiner column whose (a1, a2) are both >= those
+    of another column. Rounding a product by a positive factor is monotone,
+    so this holds for the computed floats too: the minimum over the two
+    Pareto fronts (`pareto_front`) is the minimum over the full grid, bit
+    for bit, and every grid point still counts as a candidate. Grid points
+    with a gain at or below 1e-30 toward either user are dropped before the
+    product. Fronts grow with the resolution (thousands of points at 512),
+    so the products are formed 512 front rows at a time, which bounds memory
+    by 512 x front columns.
     """
     h1 = np.asarray(channel.h1)
     h2 = np.asarray(channel.h2)
@@ -240,16 +273,17 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)
           + params.sigma2 * (th.theta_r2 - 1.0) + 2.0 * params.p_c / params.eta)
 
+    inv1, inv2 = 1.0 / hd1, 1.0 / hd2
+    # rows and columns drop the same NaN grid points, so both are empty or neither
+    rows = pareto_front(inv1, inv2)
+    cols = pareto_front(a1, a2)
+    c1, c2 = a1[cols], a2[cols]
     best = np.inf
     chunk = 512
-    for i in range(0, len(a1), chunk):
-        m = np.maximum(np.outer(1.0 / hd1, a1[i:i + chunk]),
-                       np.outer(1.0 / hd2, a2[i:i + chunk]))
-        if np.all(np.isnan(m)):
-            continue
-        v = np.nanmin(m)
-        if v < best:
-            best = float(v)
+    for i in range(0, len(rows), chunk):
+        r = rows[i:i + chunk]
+        best = min(best, float(np.min(np.maximum(np.outer(inv1[r], c1),
+                                                 np.outer(inv2[r], c2)))))
     if not math.isfinite(best):
         raise DegenerateChannelError("no non-degenerate grid point")
     return best

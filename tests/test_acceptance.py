@@ -248,10 +248,10 @@ def test_c06_oracle_equivalence(op_params):
     for t in range(20):
         ch = gen_channel(trial_seed(SEED, t), 2)
         trace = optimizer.alternate(ch, par)
-        oracle = harness.oracle_grid(ch, par, resolution=64)
+        oracle = harness.oracle_grid(ch, par, resolution=256)
         diffs.append(10.0 * math.log10(trace.final.p_r / oracle))
     elapsed = time.perf_counter() - t0
-    ok = all(-0.05 <= d <= 0.2 for d in diffs) and elapsed <= 600.0
+    ok = all(-0.01 <= d <= 0.05 for d in diffs) and elapsed <= 600.0
     _report(6, "oracle-equivalence", ok,
             f"diff range [{min(diffs):+.4f}, {max(diffs):+.4f}] dB, "
             f"runtime={elapsed:.1f}s")

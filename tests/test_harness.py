@@ -1,14 +1,17 @@
 import io
+import itertools
 import math
-
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cofrelay import cli, harness
-from cofrelay.design import SystemParams
+from cofrelay.design import SystemParams, rate_thresholds
 from cofrelay.errors import DimensionError, NestingError
-from cofrelay.scenario import ChannelRealization, ScenarioConfig, gen_channel
+from cofrelay.scenario import (ChannelRealization, ScenarioConfig, fig2_preset,
+                               gen_channel, trial_seed, units_from_config,
+                               with_overrides)
 
 UNIT_CH = ChannelRealization(h1=np.array([1.0 + 0j]),
                              h2=np.array([1.0 + 0j]), seed=0)
@@ -82,7 +85,127 @@ class TestSweep:
         assert harness.axis_points(cfg) == [(15.0, 5.0)]
 
 
+def _oracle_reference(channel, params, resolution):
+    """Brute-force N=2 grid oracle: the max of the two user terms over the
+    full grid-by-grid product, 512 combiner columns at a time, NaN (gain
+    floor) entries skipped. Reference for the Pareto-pruned `oracle_grid`."""
+    h1 = np.asarray(channel.h1)
+    h2 = np.asarray(channel.h2)
+    th = rate_thresholds(params)
+    t = np.linspace(0.0, math.pi / 2.0, resolution, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    vecs = np.stack([np.cos(tt).ravel(),
+                     (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1)
+    vecs = np.vstack([vecs, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)])
+    g1, g2 = np.abs(vecs @ h1) ** 2, np.abs(vecs @ h2) ** 2
+    hd1 = np.where(g1 > 1e-30, g1, np.nan)
+    hd2 = np.where(g2 > 1e-30, g2, np.nan)
+    a1 = (params.sigma2 * th.theta_1r / (params.eta * hd1)
+          + params.sigma2 * (th.theta_r1 - 1.0) + 2.0 * params.p_c / params.eta)
+    a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)
+          + params.sigma2 * (th.theta_r2 - 1.0) + 2.0 * params.p_c / params.eta)
+    best = np.inf
+    chunk = 512
+    for i in range(0, len(a1), chunk):
+        m = np.maximum(np.outer(1.0 / hd1, a1[i:i + chunk]),
+                       np.outer(1.0 / hd2, a2[i:i + chunk]))
+        if np.all(np.isnan(m)):
+            continue
+        v = np.nanmin(m)
+        if v < best:
+            best = float(v)
+    return best
+
+
+def _n2_params(snr_db, pc_dbm):
+    return units_from_config(ScenarioConfig(n=2, snr_db=snr_db, pc_dbm=pc_dbm))
+
+
+# (snr_db, pc_dbm) operating points of the parity cases
+PARITY_POINTS = list(itertools.product((-10.0, 0.0, 20.0, 50.0), (-60.0, 10.0)))
+
+
+def _parity_cases(resolution, count, first):
+    """`count` seeded N=2 channels, cycling through PARITY_POINTS."""
+    return [pytest.param(resolution, t, *PARITY_POINTS[t % len(PARITY_POINTS)],
+                         id=f"r{resolution}-t{t}")
+            for t in range(first, first + count)]
+
+
+COL_H1 = np.array([0.3 - 1.1j, 0.8 + 0.2j])
+
+
+class TestParetoFront:
+    def test_matches_brute_force_dominance(self):
+        rng = np.random.default_rng(5)
+        # integer coordinates give many exact ties; NaN points never survive
+        x = rng.integers(0, 12, 300).astype(float)
+        y = rng.integers(0, 12, 300).astype(float)
+        x[::17] = np.nan
+        y[::23] = np.nan
+        front = harness.pareto_front(x, y)
+        ok = ~(np.isnan(x) | np.isnan(y))
+        assert np.all(ok[front])
+        # ascending, one point per x: equal points appear once
+        assert np.all(np.diff(x[front]) > 0)
+        for i in np.flatnonzero(ok):
+            weak = ok & (x <= x[i]) & (y <= y[i])
+            strict = weak & ((x < x[i]) | (y < y[i]))
+            # each point has a front point <= in both coordinates ...
+            assert np.any(weak[front])
+            # ... and no front point has a point <= in both and < in one
+            if i in front:
+                assert not strict.any()
+
+    def test_empty_and_all_nan(self):
+        assert len(harness.pareto_front(np.array([]), np.array([]))) == 0
+        nan = np.full(3, np.nan)
+        assert len(harness.pareto_front(nan, np.ones(3))) == 0
+
+
 class TestOracleGrid:
+    @pytest.mark.parametrize("resolution,t,snr_db,pc_dbm",
+                             _parity_cases(32, 104, 0)
+                             + _parity_cases(64, 8, 104)
+                             + _parity_cases(128, 1, 127))
+    def test_matches_full_grid_bitwise(self, resolution, t, snr_db, pc_dbm):
+        ch = gen_channel(trial_seed(4321, t), 2)
+        par = _n2_params(snr_db, pc_dbm)
+        assert (harness.oracle_grid(ch, par, resolution=resolution)
+                == _oracle_reference(ch, par, resolution))
+
+    @pytest.mark.parametrize("h1,h2", [
+        pytest.param([1.0, 0.0], [0.0, 1.0], id="orthogonal"),
+        pytest.param(COL_H1, 2j * COL_H1, id="collinear"),
+        # the grid pole (0, 1) has zero gain toward h1: a NaN row and column
+        pytest.param([1.0, 0.0], [0.7 - 0.2j, -0.5 + 0.9j], id="h1-pole"),
+    ])
+    @pytest.mark.parametrize("snr_db,pc_dbm", [(0.0, -60.0), (20.0, 10.0)])
+    def test_matches_full_grid_bitwise_special(self, h1, h2, snr_db, pc_dbm):
+        ch = ChannelRealization(h1=np.array(h1, dtype=complex),
+                                h2=np.array(h2, dtype=complex), seed=0)
+        par = _n2_params(snr_db, pc_dbm)
+        for resolution in (32, 64):
+            assert (harness.oracle_grid(ch, par, resolution=resolution)
+                    == _oracle_reference(ch, par, resolution))
+
+    def test_refinement_to_256_in_bounded_memory(self):
+        cfg = with_overrides(fig2_preset(), n=2, axis="none", axis_values=())
+        par = units_from_config(cfg)
+        ch = gen_channel(trial_seed(cfg.master_seed, 0), 2)
+        values = [harness.oracle_grid(ch, par, resolution=r)
+                  for r in (32, 64, 128)]
+        tracemalloc.start()
+        try:
+            values.append(harness.oracle_grid(ch, par, resolution=256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
+        # one 512-column chunk of the full 65538-point product is 268 MB
+        assert peak < 64e6
+
     def test_orthogonal_symmetric(self):
         par = SystemParams(N=2, eta=1.0, p_c=0.0, sigma2=1.0,
                            r1_bar=0.5, r2_bar=0.5)
@@ -193,6 +316,14 @@ class TestCli:
         assert cli.main(["bogus-command"]) == 1
         assert cli.main(["sweep", "--preset", "fig2", "--config", "x.cfg"]) == 1
         assert cli.main(["lattice-demo", "--scales", "1,2"]) == 1
+        capsys.readouterr()
+        for argv in (["oracle-check", "--resolution", "16"],
+                     ["oracle-check", "--n", "4"],
+                     ["oracle-check", "--channels", "0"]):
+            assert cli.main(argv) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "diff range" not in captured.out
 
     def test_io_error(self, tmp_path):
         rc = cli.main(["sweep", "--trials", "1", "--schemes", "4",
