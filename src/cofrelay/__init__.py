@@ -3,7 +3,8 @@ with power-splitting wireless energy transfer.
 
 The core pipeline: generate a channel (`scenario`), optimize the relay
 beamformer, receive combiner and per-user power splits (`design`,
-`optimizer`: both subproblems are solved exactly over span{h1, h2}), verify
+`optimizer`: a global 1-D search along the two-user gain frontier with a
+closed-form beamformer at each combiner angle), verify
 the rate targets, and aggregate Monte Carlo sweeps (`harness`). The `sdp`
 interior-point solver (with `numerics`) is kept as an independent
 certificate of the beamformer step, which the tests use. `lattice` holds the

@@ -23,7 +23,7 @@ from .errors import (DegenerateChannelError, InfeasibleError,
 
 logger = logging.getLogger(__name__)
 
-_GAIN_FLOOR = 1e-30
+GAIN_FLOOR = 1e-30
 RANK_RATIO_TOL = 1e-6
 
 
@@ -92,7 +92,7 @@ def constraint_rhs(params: SystemParams, g, channel):
     for h, t_up, t_dn in ((channel.h1, th.theta_1r, th.theta_r1),
                           (channel.h2, th.theta_2r, th.theta_r2)):
         gi = uplink_gain(g, h)
-        if gi <= _GAIN_FLOOR:
+        if gi <= GAIN_FLOOR:
             raise DegenerateChannelError("zero effective uplink gain")
         out.append(params.sigma2 * t_up / (params.eta * gi)
                    + params.sigma2 * (t_dn - 1.0)
@@ -107,7 +107,7 @@ def required_power(f, g, channel, params: SystemParams) -> float:
     p = 0.0
     for ai, h in zip(a, (channel.h1, channel.h2)):
         hi = downlink_gain(f, h)
-        if hi <= _GAIN_FLOOR:
+        if hi <= GAIN_FLOOR:
             raise DegenerateChannelError("zero effective downlink gain")
         p = max(p, ai / hi)
     return p
@@ -253,7 +253,7 @@ def min_power_beamformer(h_list, a_list, tol_feas=1e-8, tol_gap=1e-7,
     viol = []
     for (h, a) in active:
         gain = downlink_gain(f, h)
-        if gain <= _GAIN_FLOOR:
+        if gain <= GAIN_FLOOR:
             raise SolverFailureError("rank-one beamformer projection lost a user")
         viol.append((a - p_r * gain) / max(1.0, a))
     if ratio > RANK_RATIO_TOL or max(viol) > 1e-7:
@@ -263,18 +263,89 @@ def min_power_beamformer(h_list, a_list, tol_feas=1e-8, tol_gap=1e-7,
     return BeamformerDesign(F=big_f, p_r=p_r, f=f, rank_ratio=ratio)
 
 
-def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
-    """Optimal beamformer for a fixed combiner.
+class FrontierBasis(NamedTuple):
+    """Coordinates of the two-user gain frontier of (h1, h2).
 
-    min_f max_i a_i/|h_i^T f|^2 is the combiner problem on conj(h1),
-    conj(h2) with rho = a and mu = 0, which `min_level_combiner` solves
-    exactly; F = p_r f f^H is rank one by construction.
+    q1 = h1/n1 with n1 = |h1|, c1 = q1^H h2, A = |c1|, C = |h2 - c1 q1|,
+    q2 = (h2 - c1 q1)/C, phase = c1/A and psi_max = atan2(C, A). The unit
+    vectors u(psi) = cos(psi) phase q1 + sin(psi) q2, psi in [0, psi_max],
+    add the two components of h2 coherently and carry every Pareto-optimal
+    gain pair: |u^H h1|^2 = n1^2 cos^2 psi and
+    |u^H h2|^2 = (A cos psi + C sin psi)^2. The optimal combiner g and the
+    optimal beamformer f are both conj(u(psi)) for some psi. On collinear
+    channels q2 is None, C = psi_max = 0 and the frontier is the point q1.
     """
-    a = constraint_rhs(params, g, channel)
-    sol = min_level_combiner([np.conj(channel.h1), np.conj(channel.h2)],
-                             a, (0.0, 0.0))
-    return BeamformerDesign(F=sol.p_r_implied * sol.G, p_r=sol.p_r_implied,
-                            f=sol.g.conj(), rank_ratio=0.0)
+    n1: float
+    q1: np.ndarray
+    q2: np.ndarray
+    phase: complex
+    a: float
+    c: float
+    psi_max: float
+
+    def vector(self, psi) -> np.ndarray:
+        """The unit vector u(psi)."""
+        if self.q2 is None:
+            return self.q1
+        return math.cos(psi) * self.phase * self.q1 + math.sin(psi) * self.q2
+
+
+def frontier_basis(h1, h2) -> FrontierBasis:
+    """The `FrontierBasis` of the channel pair (h1, h2)."""
+    n1 = float(np.linalg.norm(h1))
+    if n1 == 0.0:
+        raise DegenerateChannelError("zero channel toward user 1")
+    q1 = h1 / n1
+    c1 = complex(np.vdot(q1, h2))
+    r = h2 - c1 * q1
+    c2 = float(np.linalg.norm(r))
+    a1 = abs(c1)
+    phase = c1 / a1 if a1 > 0 else 1.0
+    if c2 < 1e-12 * max(1.0, np.linalg.norm(h2)):
+        return FrontierBasis(n1, q1, None, phase, a1, 0.0, 0.0)
+    return FrontierBasis(n1, q1, r / c2, phase, a1, c2, math.atan2(c2, a1))
+
+
+def frontier_crossing(basis: FrontierBasis, a1: float, a2: float):
+    """(tan phi, P) minimizing max(a1/H1(phi), a2/H2(phi)) along the frontier,
+    H_i the downlink gains of f = conj(u(phi)); see `solve_beamformer`.
+
+    P is evaluated as (1 + tan^2 phi) max(a1/n1^2, a2/(A + C tan phi)^2),
+    which equals the closed form P* at the crossing without its
+    cancellation.
+    """
+    n1, a, c = basis.n1, basis.a, basis.c
+    t = 0.0
+    if c > 0.0:
+        t = max((n1 * math.sqrt(a2 / a1) - a) / c, 0.0)
+        if a > 0.0:
+            t = min(t, c / a)
+    return t, (1.0 + t * t) * max(a1 / (n1 * n1), a2 / (a + c * t) ** 2)
+
+
+def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
+    """Optimal beamformer for a fixed combiner, in closed form.
+
+    The optimal f is the conjugate of a frontier vector u(phi) of
+    `frontier_basis` (two quadratic constraints admit a rank-one optimum:
+    Sidiropoulos, Davidson & Luo 2006; Huang & Palomar 2010), so
+    min_f max_i a_i/|h_i^T f|^2 is min over phi in [0, psi_max] of
+    max(a1/(n1^2 cos^2 phi), a2/(A cos phi + C sin phi)^2). The first term
+    increases in phi and the second decreases, and with r = sqrt(a2/a1):
+
+    - if n1 r <= A, then phi = 0;
+    - else if n1 A r >= n2^2, then phi = psi_max;
+    - otherwise tan phi = (n1 r - A)/C, where both terms meet at
+      P* = (n2^2 a1 + n1^2 a2 - 2 n1 A sqrt(a1 a2)) / (n1^2 C^2).
+
+    F = p_r f f^H is rank one by construction.
+    """
+    a1, a2 = constraint_rhs(params, g, channel)
+    basis = frontier_basis(channel.h1, channel.h2)
+    tan_phi, p_r = frontier_crossing(basis, a1, a2)
+    f = np.conj(basis.vector(math.atan(tan_phi)))
+    return BeamformerDesign(F=p_r * np.outer(f, f.conj()), p_r=p_r, f=f,
+                            rank_ratio=0.0)
 
 
 class CombinerDesign(NamedTuple):
@@ -291,7 +362,7 @@ def combiner_coefficients(f, channel, params: SystemParams):
     for h, t_up, t_dn in ((channel.h1, th.theta_1r, th.theta_r1),
                           (channel.h2, th.theta_2r, th.theta_r2)):
         hi = downlink_gain(f, h)
-        if hi <= _GAIN_FLOOR:
+        if hi <= GAIN_FLOOR:
             raise DegenerateChannelError("zero effective downlink gain")
         rho.append(params.sigma2 * t_up / (params.eta * hi))
         mu.append((params.sigma2 * (t_dn - 1.0) + 2.0 * params.p_c / params.eta) / hi)
@@ -302,7 +373,7 @@ def _combiner_objective(u, h_vecs, rho, mu):
     val = 0.0
     for h, r, m in zip(h_vecs, rho, mu):
         x = float(np.abs(np.vdot(u, h)) ** 2)
-        if x <= _GAIN_FLOOR:
+        if x <= GAIN_FLOOR:
             return np.inf
         val = max(val, r / x + m)
     return val
@@ -311,33 +382,21 @@ def _combiner_objective(u, h_vecs, rho, mu):
 def _frontier_combiner(h_vecs, rho, mu):
     """Exact minimizer u of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
 
-    The optimal u lies in span{h1, h2}; with q1 aligned to h1 and the
-    in-span phase chosen to add the two components of h2 coherently, the
-    search reduces to one mixing angle phi, along which the gains are
-    x1 = n1^2 cos^2 phi and x2 = (|c1| cos phi + c2 sin phi)^2. The first
-    term is increasing in phi and the second decreasing, so the optimum is
-    either an endpoint or the crossing, found by bisection.
+    The optimal u lies on the gain frontier of `frontier_basis`. Along its
+    angle phi the first term increases and the second decreases, so the
+    optimum is either an endpoint or the crossing, found by bisection.
     """
-    h1, h2 = h_vecs
-    n1 = float(np.linalg.norm(h1))
-    q1 = h1 / n1
-    c1 = complex(np.vdot(q1, h2))
-    r = h2 - c1 * q1
-    c2 = float(np.linalg.norm(r))
+    basis = frontier_basis(*h_vecs)
+    if basis.q2 is None:
+        return basis.q1  # collinear channels: matched filtering serves both users
 
-    if c2 < 1e-12 * max(1.0, np.linalg.norm(h2)):
-        return q1  # collinear channels: matched filtering serves both users
-
-    q2 = r / c2
-    a1 = abs(c1)
-    phase = c1 / a1 if a1 > 0 else 1.0
-    phi_max = math.atan2(c2, a1)
+    n1, a, c, phi_max = basis.n1, basis.a, basis.c, basis.psi_max
 
     def terms(phi):
         x1 = (n1 * math.cos(phi)) ** 2
-        x2 = (a1 * math.cos(phi) + c2 * math.sin(phi)) ** 2
-        t1 = rho[0] / x1 + mu[0] if x1 > _GAIN_FLOOR else np.inf
-        t2 = rho[1] / x2 + mu[1] if x2 > _GAIN_FLOOR else np.inf
+        x2 = (a * math.cos(phi) + c * math.sin(phi)) ** 2
+        t1 = rho[0] / x1 + mu[0] if x1 > GAIN_FLOOR else np.inf
+        t2 = rho[1] / x2 + mu[1] if x2 > GAIN_FLOOR else np.inf
         return t1, t2
 
     t1_lo, t2_lo = terms(0.0)
@@ -360,16 +419,15 @@ def _frontier_combiner(h_vecs, rho, mu):
         phi_star = 0.5 * (lo + hi)
 
     best_phi = min((0.0, phi_max, phi_star), key=lambda p: max(*terms(p)))
-    return math.cos(best_phi) * phase * q1 + math.sin(best_phi) * q2
+    return basis.vector(best_phi)
 
 
 def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
     """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
 
     Users with rho_i = mu_i = 0 are dropped (degenerate single-user case).
-    The same two-user routine serves the combiner step (`solve_combiner`)
-    and the beamformer step (`solve_beamformer`, on the conjugate channels
-    with rho = a and mu = 0).
+    This is the combiner step (`solve_combiner`); with mu = 0 the same
+    problem has the closed form of `solve_beamformer`.
     """
     h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
     n = len(h_vecs[0])
@@ -406,7 +464,7 @@ def beta_interval(p_r, f, g, channel, params: SystemParams, user: int):
     t_dn = (th.theta_r1, th.theta_r2)[user]
     hi_gain = downlink_gain(f, h)
     gi = uplink_gain(g, h)
-    if hi_gain <= _GAIN_FLOOR or gi <= _GAIN_FLOOR:
+    if hi_gain <= GAIN_FLOOR or gi <= GAIN_FLOOR:
         raise DegenerateChannelError("zero effective gain")
     lo = params.sigma2 * (t_dn - 1.0) / (p_r * hi_gain)
     hi = (1.0 - params.sigma2 * t_up / (params.eta * p_r * hi_gain * gi)

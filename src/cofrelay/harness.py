@@ -13,7 +13,8 @@ import numpy as np
 
 from . import lattice
 from .design import SystemParams, rate_thresholds, verify_rates
-from .errors import CofRelayError, DegenerateChannelError, DimensionError
+from .errors import (CofRelayError, ConfigError, DegenerateChannelError,
+                     DimensionError)
 from .optimizer import run_scheme
 from .scenario import (ScenarioConfig, db_from_power, gen_channel, trial_seed,
                        units_from_config, with_overrides)
@@ -97,7 +98,6 @@ def _run_trial(scheme, snr_db, pc_dbm, trial, ch, params: SystemParams,
                cfg: ScenarioConfig) -> TrialRecord:
     try:
         result = run_scheme(scheme, ch, params,
-                            max_iter=cfg.max_iter, rel_tol=cfg.rel_tol,
                             equal_gain_phased=(cfg.equal_gain == "phased"))
         report = verify_rates(result.design, ch, params)
         return TrialRecord(scheme=scheme, snr_db=snr_db, pc_dbm=pc_dbm,
@@ -238,7 +238,7 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     if len(h1) != 2:
         raise DimensionError("oracle grid supports N = 2 only")
     if resolution < 32:
-        raise ValueError("resolution must be at least 32")
+        raise ConfigError("resolution must be at least 32")
 
     norms = (float(np.linalg.norm(h1)), float(np.linalg.norm(h2)))
     th = rate_thresholds(params)

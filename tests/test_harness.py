@@ -8,7 +8,7 @@ import pytest
 
 from cofrelay import cli, harness
 from cofrelay.design import SystemParams, rate_thresholds
-from cofrelay.errors import DimensionError, NestingError
+from cofrelay.errors import ConfigError, DimensionError, NestingError
 from cofrelay.scenario import (ChannelRealization, ScenarioConfig, fig2_preset,
                                gen_channel, trial_seed, units_from_config,
                                with_overrides)
@@ -237,7 +237,7 @@ class TestOracleGrid:
                            r1_bar=0.5, r2_bar=0.5)
         with pytest.raises(DimensionError):
             harness.oracle_grid(gen_channel(1, 3), par)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             harness.oracle_grid(gen_channel(1, 2), par, resolution=16)
 
 
@@ -337,7 +337,12 @@ class TestCli:
         assert "match=True" in capsys.readouterr().out
 
     def test_oracle_check(self, capsys):
-        rc = cli.main(["oracle-check", "--channels", "2", "--trials", "2"])
+        rc = cli.main(["oracle-check", "--channels", "3", "--trials", "2",
+                       "--snr-db", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "diff range" in out
+        line = next(ln for ln in out.splitlines()
+                    if ln.startswith("scheme-1 diff range"))
+        hi = float(line.split("[")[1].split(",")[1].split("]")[0])
+        assert hi <= 1e-9

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from cofrelay import design, optimizer, sdp
+from frontier_reference import joint_reference
+from cofrelay import design, harness, optimizer, sdp
+from cofrelay.errors import DegenerateChannelError
 from cofrelay.scenario import (ChannelRealization, fig2_preset, gen_channel,
                                trial_seed, units_from_config, with_overrides)
 
@@ -17,8 +21,29 @@ FIG2 = design.SystemParams(N=4, eta=1.0, p_c=10.0, sigma2=0.01,
                            r1_bar=2.0, r2_bar=2.0)
 
 
+FIG2_SNRS = tuple(float(v) for v in range(0, 31, 5))
+
+
 def rand_channel(t, n=4):
     return gen_channel(trial_seed(4321, t), n)
+
+
+def fig2_params(snr_db, n):
+    return units_from_config(with_overrides(fig2_preset(), n=n, snr_db=snr_db,
+                                            axis="none", axis_values=()))
+
+
+def joint_power(ch, par):
+    """Scheme 1's relay power, after checking that its design meets every
+    rate target with betas in [0, 1], takes no iterations, and is no worse
+    than the paper's alternation."""
+    res = optimizer.run_scheme(1, ch, par)
+    d = res.design
+    assert res.iterations == 0
+    assert all(0.0 <= b <= 1.0 for b in d.beta)
+    assert min(design.verify_rates(d, ch, par).margins) >= -1e-9
+    assert d.p_r <= optimizer.alternate(ch, par).final.p_r * (1 + 1e-12)
+    return d.p_r
 
 
 class TestAlternate:
@@ -141,3 +166,61 @@ class TestSchemes:
     def test_bad_scheme(self):
         with pytest.raises(ValueError):
             optimizer.run_scheme(7, SCALAR_CH, SCALAR)
+
+
+class TestJointDesign:
+    """Scheme 1 is the global optimum of the joint design."""
+
+    @pytest.mark.parametrize("snr_db", FIG2_SNRS)
+    def test_n2_not_above_grid_oracle(self, snr_db):
+        par = fig2_params(snr_db, 2)
+        for t in range(20):
+            ch = rand_channel(t, n=2)
+            oracle = harness.oracle_grid(ch, par, resolution=256)
+            assert joint_power(ch, par) <= oracle * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", (2, 3, 4, 8))
+    def test_matches_frontier_reference(self, n):
+        for k, snr_db in enumerate(FIG2_SNRS):
+            par = fig2_params(snr_db, n)
+            ch = rand_channel(100 + 10 * n + k, n=n)
+            assert joint_power(ch, par) == pytest.approx(
+                joint_reference(ch, par), rel=1e-9)
+
+    @pytest.mark.parametrize("case", ["collinear", "identical", "orthogonal",
+                                      "n1", "h1_pole"])
+    def test_edge_channels(self, case):
+        par = fig2_params(0.0, 4)
+        if case in ("collinear", "identical"):
+            h1 = rand_channel(4).h1
+            h2 = (0.3 - 0.7j) * h1 if case == "collinear" else h1.copy()
+            ch = ChannelRealization(h1=h1, h2=h2, seed=0)
+            # every unit vector sees gains in the ratio |h1|^2 : |h2|^2,
+            # so the matched filter serves both users best
+            g = np.conj(h1) / np.linalg.norm(h1)
+            assert joint_power(ch, par) == pytest.approx(
+                design.required_power(g, g, ch, par), rel=1e-12)
+        elif case == "n1":
+            par = fig2_params(0.0, 1)
+            ch = rand_channel(6, n=1)
+            one = np.ones(1, dtype=complex)
+            assert joint_power(ch, par) == pytest.approx(
+                design.required_power(one, one, ch, par), rel=1e-12)
+        else:
+            par = ORTH if case == "orthogonal" else fig2_params(0.0, 2)
+            ch = ORTH_CH if case == "orthogonal" else ChannelRealization(
+                h1=np.array([1.0 + 0j, 0.0]), h2=rand_channel(8, n=2).h2, seed=0)
+            p = joint_power(ch, par)
+            assert p <= harness.oracle_grid(ch, par, resolution=256) * (1 + 1e-12)
+            if case == "orthogonal":
+                assert p == pytest.approx(10.0, rel=1e-12)
+            else:
+                assert p == pytest.approx(joint_reference(ch, par), rel=1e-9)
+
+    def test_zero_channel_raises_without_warning(self):
+        ch = ChannelRealization(h1=np.zeros(4, dtype=complex),
+                                h2=rand_channel(0).h2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateChannelError):
+                optimizer.run_scheme(1, ch, FIG2)
