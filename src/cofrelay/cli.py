@@ -51,8 +51,6 @@ def _add_config_overrides(p):
     p.add_argument("--schemes", help="comma list drawn from 1,2,3,4")
     p.add_argument("--equal-gain", choices=("phased", "unphased"),
                    dest="equal_gain")
-    p.add_argument("--rel-tol", type=float, dest="rel_tol")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
 
 
 def _build_config(args, preset=None) -> ScenarioConfig:
@@ -105,6 +103,10 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("oracle-check", help="compare scheme 1 and the "
                        "alternation with the N=2 grid oracle")
     _add_config_overrides(p)
+    p.add_argument("--rel-tol", type=float, dest="rel_tol",
+                   help="stopping tolerance of the alternation")
+    p.add_argument("--max-iter", type=int, dest="max_iter",
+                   help="iteration cap of the alternation")
     p.add_argument("--channels", type=int, default=20)
     p.add_argument("--resolution", type=int, default=64)
 

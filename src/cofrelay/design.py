@@ -10,7 +10,6 @@ All powers are linear; dB conversion happens at the scenario boundary.
 """
 
 from dataclasses import dataclass
-import logging
 import math
 from typing import NamedTuple
 
@@ -18,13 +17,9 @@ import numpy as np
 
 from . import numerics, sdp
 from .lattice import mmse_alpha
-from .errors import (DegenerateChannelError, InfeasibleError,
-                     SolverFailureError)
-
-logger = logging.getLogger(__name__)
+from .errors import DegenerateChannelError, InfeasibleError
 
 GAIN_FLOOR = 1e-30
-RANK_RATIO_TOL = 1e-6
 
 
 @dataclass
@@ -126,141 +121,38 @@ def rank_one_extract(m):
 
 
 class BeamformerDesign(NamedTuple):
-    F: np.ndarray
     p_r: float
     f: np.ndarray
     rank_ratio: float
 
 
-def _hermitian_basis(r):
-    """Orthonormal real basis of the r x r Hermitian matrices."""
-    basis = []
-    for k in range(r):
-        e = np.zeros((r, r), dtype=complex)
-        e[k, k] = 1.0
-        basis.append(e)
-    for j in range(r):
-        for k in range(j + 1, r):
-            e = np.zeros((r, r), dtype=complex)
-            e[j, k] = e[k, j] = 1.0 / math.sqrt(2.0)
-            basis.append(e)
-            e = np.zeros((r, r), dtype=complex)
-            e[j, k] = -1j / math.sqrt(2.0)
-            e[k, j] = 1j / math.sqrt(2.0)
-            basis.append(e)
-    return basis
+def min_power_beamformer(h_list, a_list) -> BeamformerDesign:
+    """Minimize Tr(F) over PSD F subject to Tr(A_i F) >= a_i, with
+    A_i = h_i^* h_i^T. Constraints with a_i <= 0 are vacuous and dropped.
 
-
-def reduce_rank(x, preserve, check=None, tol=1e-9):
-    """Walk along the optimal face of a PSD matrix toward a rank-one point.
-
-    ``preserve`` lists Hermitian matrices whose trace inner products with x
-    must stay fixed (active constraints and, implicitly, the objective via
-    the identity). A feasibility ``check(candidate)`` may veto a direction,
-    e.g. when an inactive inequality would be crossed. With two preserved
-    quadratic forms plus the trace, a rank-one point always exists on the
-    face, which is exactly the classic two-constraint argument.
-    """
-    x = numerics.hermitian(x)
-    mats = [np.eye(x.shape[0], dtype=complex)] + [numerics.hermitian(m) for m in preserve]
-    for _ in range(x.shape[0]):
-        vals, vecs = numerics.eig_hermitian(x)
-        lam1 = max(float(vals[0]), 0.0)
-        if lam1 <= 0:
-            break
-        r = int(np.sum(vals > tol * lam1))
-        if r <= 1:
-            break
-        v = vecs[:, :r]
-        s = vals[:r].astype(float)
-        basis = _hermitian_basis(r)
-        rows = []
-        for m in mats:
-            mr = v.conj().T @ m @ v
-            rows.append([numerics.trace_inner(mr, e) for e in basis])
-        a = np.asarray(rows, dtype=float)
-        _, sv, vt = np.linalg.svd(a)
-        rank = int(np.sum(sv > 1e-9 * max(1.0, sv[0]))) if sv.size else 0
-        if rank >= a.shape[1]:
-            break  # conditions fill the face; no direction left
-        coeff = vt[-1]
-        delta = sum(c * e for c, e in zip(coeff, basis))
-        # Step sizes that zero out an eigenvalue of S + t*Delta in either direction.
-        isq = 1.0 / np.sqrt(s)
-        w = np.linalg.eigvalsh((isq[:, None] * delta * isq[None, :]))
-        steps = []
-        if w[0] < -1e-14:
-            steps.append(-1.0 / w[0])
-        if w[-1] > 1e-14:
-            steps.append(-1.0 / w[-1])
-        if not steps:
-            break
-        steps.sort(key=abs)
-        nxt = None
-        for t in steps:
-            cand = numerics.hermitian(v @ (np.diag(s) + t * delta) @ v.conj().T)
-            if check is None or check(cand):
-                nxt = cand
-                break
-        if nxt is None:
-            break
-        x = nxt
-    return x
-
-
-def min_power_beamformer(h_list, a_list, tol_feas=1e-8, tol_gap=1e-7,
-                         max_iter=200) -> BeamformerDesign:
-    """Minimize Tr(F) over PSD F subject to Tr(A_i F) >= a_i, then read off
-    the rank-one pair (P_r, f). Constraints with a_i <= 0 are vacuous and
-    dropped.
-
-    This is the paper's semidefinite relaxation of the beamformer step. It
-    is tight (two quadratic constraints admit a rank-one optimum), so it
-    serves as an independent certificate of the exact `solve_beamformer`;
-    the tests call it, the sweep path does not. On tie-degenerate channels
-    the interior-point method lands in the middle of a flat optimal face;
-    the face walk in `reduce_rank` then restores a rank-one optimizer. A
-    rescaled dominant-eigenvector projection remains as a logged last
-    resort.
+    This is the paper's semidefinite relaxation of the beamformer step,
+    kept as an independent certificate of the exact `solve_beamformer`; the
+    tests call it, the sweep path does not. Two quadratic constraints admit
+    a rank-one optimum (Sidiropoulos, Davidson & Luo 2006; Huang & Palomar
+    2010), so the relaxation's optimal value, returned as p_r, is the exact
+    minimum power to the solver's tolerances. Only that value is certified.
+    f is the dominant eigenvector of the SDP's optimizer: on tie-degenerate
+    channels the interior-point method stops inside a flat optimal face of
+    higher rank, and there f need not be optimal or even feasible at p_r.
+    rank_ratio = lambda2/lambda1 of the optimizer is a diagnostic of that
+    case.
     """
     n = len(h_list[0])
     active = [(np.asarray(h, dtype=complex), float(a))
               for h, a in zip(h_list, a_list) if a > 0]
     if not active:
         raise ValueError("all constraint right-hand sides are nonpositive")
-    a_mats = [np.outer(h.conj(), h) for h, _ in active]
-    cons = [(m, sdp.GE, a) for m, (_, a) in zip(a_mats, active)]
-    inst = sdp.SdpInstance(n, np.eye(n), "min", cons)
-    sol = sdp.solve_sdp(inst, tol_feas=tol_feas, tol_gap=tol_gap, max_iter=max_iter)
+    cons = [(np.outer(h.conj(), h), sdp.GE, a) for h, a in active]
+    sol = sdp.solve_sdp(sdp.SdpInstance(n, np.eye(n), "min", cons))
     sdp.assert_optimal(sol, "beamformer SDP")
-
-    big_f = sol.X
-    _, _, ratio = rank_one_extract(big_f)
-    if ratio > RANK_RATIO_TOL:
-        logger.warning("beamformer relaxation rank ratio %.3e; reducing along "
-                       "the optimal face", ratio)
-        tight = [m for m, (_, a) in zip(a_mats, active)
-                 if numerics.trace_inner(m, big_f) <= a * (1.0 + 1e-7)]
-
-        def feas(cand):
-            return all(numerics.trace_inner(m, cand) >= a * (1.0 - 1e-9)
-                       for m, (_, a) in zip(a_mats, active))
-
-        big_f = reduce_rank(big_f, tight, check=feas)
-
-    scale, f, ratio = rank_one_extract(big_f)
-    p_r = float(np.real(np.trace(big_f)))
-    viol = []
-    for (h, a) in active:
-        gain = downlink_gain(f, h)
-        if gain <= GAIN_FLOOR:
-            raise SolverFailureError("rank-one beamformer projection lost a user")
-        viol.append((a - p_r * gain) / max(1.0, a))
-    if ratio > RANK_RATIO_TOL or max(viol) > 1e-7:
-        if ratio > RANK_RATIO_TOL:
-            logger.warning("face walk left rank ratio %.3e; rescaling projection", ratio)
-        p_r = max(a / downlink_gain(f, h) for h, a in active)
-    return BeamformerDesign(F=big_f, p_r=p_r, f=f, rank_ratio=ratio)
+    _, f, ratio = rank_one_extract(sol.X)
+    return BeamformerDesign(p_r=float(np.real(np.trace(sol.X))), f=f,
+                            rank_ratio=ratio)
 
 
 class FrontierBasis(NamedTuple):
@@ -337,19 +229,15 @@ def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     - else if n1 A r >= n2^2, then phi = psi_max;
     - otherwise tan phi = (n1 r - A)/C, where both terms meet at
       P* = (n2^2 a1 + n1^2 a2 - 2 n1 A sqrt(a1 a2)) / (n1^2 C^2).
-
-    F = p_r f f^H is rank one by construction.
     """
     a1, a2 = constraint_rhs(params, g, channel)
     basis = frontier_basis(channel.h1, channel.h2)
     tan_phi, p_r = frontier_crossing(basis, a1, a2)
     f = np.conj(basis.vector(math.atan(tan_phi)))
-    return BeamformerDesign(F=p_r * np.outer(f, f.conj()), p_r=p_r, f=f,
-                            rank_ratio=0.0)
+    return BeamformerDesign(p_r=p_r, f=f, rank_ratio=0.0)
 
 
 class CombinerDesign(NamedTuple):
-    G: np.ndarray
     g: np.ndarray
     p_r_implied: float
 
@@ -445,9 +333,8 @@ def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
     else:
         u = _frontier_combiner(hs, rs, ms)
 
-    obj = _combiner_objective(u, hs, rs, ms)
-    big_g = np.outer(u, u.conj())
-    return CombinerDesign(G=big_g, g=u.conj(), p_r_implied=obj)
+    return CombinerDesign(g=u.conj(),
+                          p_r_implied=_combiner_objective(u, hs, rs, ms))
 
 
 def solve_combiner(f, channel, params: SystemParams) -> CombinerDesign:

@@ -130,6 +130,9 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
     beamformer) are polished the same way and the best converged run is
     returned; its trace is monotone like any single run. ``multi_start=False`` gives the bare single-start behavior.
     """
+    for user, h in enumerate((channel.h1, channel.h2), start=1):
+        if np.linalg.norm(h) == 0.0:
+            raise DegenerateChannelError(f"zero channel toward user {user}")
     n = params.N
     g_inits = [uniform_combiner(n)]
     if multi_start:

@@ -9,9 +9,6 @@ predictor-corrector step). Inequalities carry explicit nonnegative slacks
 that the method treats as a diagonal cone block. Sizes are tiny, so the
 implementation favors robustness over asymptotic tricks: dense inverses,
 eigenvalue-based step lengths, LU on the Schur complement.
-
-A monotone level-set bisection driver (`bisect_level`) for quasi-convex
-problems lives here as well.
 """
 
 from dataclasses import dataclass, field
@@ -20,8 +17,8 @@ import math
 import numpy as np
 
 from . import numerics
-from .errors import (BracketError, DimensionError, InfeasibleError,
-                     SolverFailureError, UnboundedError)
+from .errors import (DimensionError, InfeasibleError, SolverFailureError,
+                     UnboundedError)
 
 MAX_DIM = 16
 MAX_CONSTRAINTS = 8
@@ -327,37 +324,6 @@ def solve_sdp(inst: SdpInstance, tol_feas: float = 1e-8, tol_gap: float = 1e-7,
     return SdpSolution(X=x_cx, objective_value=obj_signed, status=status,
                        primal_residual=pres, dual_residual=dres, gap_residual=gap,
                        y=np.asarray(y, dtype=float), iterations=iters)
-
-
-def bisect_level(feasibility_oracle, lo: float, hi: float, tol: float,
-                 check_endpoints: bool = True) -> float:
-    """Monotone level-set bisection.
-
-    ``feasibility_oracle(s)`` must return True (feasible) for large enough s
-    and False below the transition; the returned level is feasible and within
-    ``tol`` of the final infeasible lower end. The bisection loop makes at
-    most ceil(log2((hi - lo) / tol)) oracle calls; endpoint validation, when
-    enabled, costs two more.
-    """
-    if not (hi > lo):
-        raise BracketError(f"need hi > lo, got [{lo}, {hi}]")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if check_endpoints:
-        if feasibility_oracle(lo):
-            return lo
-        if not feasibility_oracle(hi):
-            raise BracketError("oracle is infeasible at hi; endpoints do not bracket "
-                               "the transition")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval below float resolution
-            break
-        if feasibility_oracle(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def assert_optimal(sol: SdpSolution, context: str = "SDP"):

@@ -325,6 +325,16 @@ class TestCli:
             assert captured.err.startswith("error: ")
             assert "diff range" not in captured.out
 
+    def test_alternation_flags_only_on_oracle_check(self, tmp_path, capsys):
+        # only oracle-check runs the alternation that these flags steer
+        assert cli.main(["sweep", "--rel-tol", "1e-3",
+                         "--out-dir", str(tmp_path)]) == cli.EXIT_USAGE
+        assert cli.main(["solve", "--max-iter", "5"]) == cli.EXIT_USAGE
+        assert not (tmp_path / "records.csv").exists()
+        assert cli.main(["oracle-check", "--channels", "1", "--resolution",
+                         "32", "--rel-tol", "1e-3", "--max-iter", "5"]) == 0
+        assert "diff range" in capsys.readouterr().out
+
     def test_io_error(self, tmp_path):
         rc = cli.main(["sweep", "--trials", "1", "--schemes", "4",
                        "--axis", "none", "--config",

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -90,6 +91,17 @@ class TestAlternate:
             multi = optimizer.alternate(ch, FIG2)
             assert multi.final.p_r <= single.final.p_r * (1 + 1e-9)
 
+    @pytest.mark.parametrize("user", (1, 2))
+    def test_zero_channel_raises_without_warning(self, user):
+        h = rand_channel(0)
+        zero = np.zeros(4, dtype=complex)
+        ch = ChannelRealization(h1=zero if user == 1 else h.h1,
+                                h2=zero if user == 2 else h.h2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateChannelError):
+                optimizer.alternate(ch, FIG2)
+
 
 class TestEqualGain:
     def test_unit_magnitudes(self):
@@ -162,6 +174,23 @@ class TestSchemes:
                 for scheme in (1, 2, 3, 4):
                     res = optimizer.run_scheme(scheme, ch, par)
                     assert res.design.p_r > 0
+
+    @pytest.mark.parametrize("scheme", (1, 2, 3, 4))
+    @pytest.mark.parametrize("n", (2, 4, 8))
+    def test_power_homogeneous(self, scheme, n):
+        # every constraint right-hand side is linear in (sigma2, P_c), so
+        # scaling both by c scales the minimum relay power by c
+        for snr_db in (0.0, 20.0):
+            par = fig2_params(snr_db, n)
+            for t in range(5):
+                ch = rand_channel(200 + t, n=n)
+                p = optimizer.run_scheme(scheme, ch, par).design.p_r
+                for c in (1e-3, 2.0, 1e3):
+                    scaled = dataclasses.replace(
+                        par, p_c=c * par.p_c, sigma2=c * par.sigma2,
+                        sigma2_a=c * par.sigma2_a, sigma2_p=c * par.sigma2_p)
+                    got = optimizer.run_scheme(scheme, ch, scaled).design.p_r
+                    assert got == pytest.approx(c * p, rel=1e-12)
 
     def test_bad_scheme(self):
         with pytest.raises(ValueError):

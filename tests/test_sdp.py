@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cofrelay import numerics, sdp
-from cofrelay.errors import BracketError, DimensionError
+from cofrelay.errors import DimensionError
 
 
 def solve(objective, constraints, n=None, sense="min", **kw):
@@ -142,38 +142,6 @@ class TestSolveSdp:
         sol2 = solve(np.eye(4), cons)
         assert np.array_equal(sol1.X, sol2.X)
         assert sol1.objective_value == sol2.objective_value
-
-
-class TestBisect:
-    def test_threshold(self):
-        got = sdp.bisect_level(lambda s: s >= 2.0, 0.0, 10.0, 1e-6)
-        assert got == pytest.approx(2.0, abs=1e-6)
-        assert got >= 2.0
-
-    def test_always_feasible_returns_lo(self):
-        assert sdp.bisect_level(lambda s: True, 1.5, 9.0, 1e-9) == 1.5
-
-    def test_pi_bracket(self):
-        got = sdp.bisect_level(lambda s: s >= np.pi, 3.0, 4.0, 1e-9)
-        assert got == pytest.approx(np.pi, abs=1e-9)
-
-    def test_call_budget(self):
-        calls = []
-
-        def oracle(s):
-            calls.append(s)
-            return s >= 2.0
-
-        lo, hi, tol = 0.0, 10.0, 1e-6
-        sdp.bisect_level(oracle, lo, hi, tol)
-        budget = int(np.ceil(np.log2((hi - lo) / tol))) + 2  # +2 endpoint checks
-        assert len(calls) <= budget
-
-    def test_bad_bracket(self):
-        with pytest.raises(BracketError):
-            sdp.bisect_level(lambda s: False, 0.0, 1.0, 1e-6)
-        with pytest.raises(BracketError):
-            sdp.bisect_level(lambda s: True, 2.0, 1.0, 1e-6)
 
 
 class TestCertificationSuite:
