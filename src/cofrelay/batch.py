@@ -1,0 +1,368 @@
+"""The compared schemes over many channels and operating points in one pass.
+
+`solve` is the array twin of `optimizer.run_scheme` followed by
+`design.verify_rates`. The T channel draws are one (T, 2, N) array, the
+P operating points are (P, 1) columns of sigma2 and P_c, and every
+per-record quantity is a (P, T) array. Each step repeats the float
+operations of its scalar original in the same order, and the parity tests
+bound what rounding leaves between the two paths. Every check of the
+scalar path is an array mask with the same threshold; a record that fails
+one carries the error class the scalar path would raise as its status.
+
+Scheme 1's angle search stays the scalar `optimizer.joint_angle`, called
+once per record, and the batch takes over from its combiner angle on: a
+golden-section search vectorised over the records costs a fixed number of
+array passes, and at the 7 and 2 records of the fig2-snr and oracle-n2
+benchmark blocks that was measured slower than the scalar search.
+"""
+
+from functools import cached_property
+import math
+from typing import NamedTuple
+
+import numpy as np
+
+from .design import (BETA_SLACK, BISECT_MAX, BISECT_TOL, COLLINEAR_TOL,
+                     GAIN_FLOOR, UNIT_NORM_TOL, FrontierBasis, rate_thresholds)
+from .errors import DegenerateChannelError, InfeasibleError
+from .optimizer import SchemeId, joint_angle
+
+
+def _map(fn, *arrays):
+    """fn applied elementwise in Python. The scalar path takes its angles
+    from `math`, and np.arctan and np.arctan2 differ from it in the last
+    bit for about 1 argument in 400 and 1 in 14."""
+    flat = [x.ravel().tolist() for x in arrays]
+    return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
+
+
+def _users_first(x):
+    """Move the last axis to the front."""
+    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
+
+
+def _dot(x, y):
+    """Unconjugated x . y over the last axis, summed as np.dot sums one pair."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _norm(x):
+    """np.linalg.norm over the last axis, with its summation."""
+    re, im = x.real, x.imag
+    return np.sqrt(_dot(re, re) + _dot(im, im))
+
+
+def _uplink(g, h):
+    """`design.uplink_gain` |g . h_i|^2 of combiners g (..., T, N) toward
+    both users of the (T, 2, N) channels, as a (2, ..., T) array."""
+    return _users_first(np.abs(_dot(g[..., None, :], h)) ** 2)
+
+
+def _downlink(h, f):
+    """`design.downlink_gain` |h_i . f|^2, shaped as `_uplink`."""
+    return _users_first(np.abs(_dot(h, f[..., None, :])) ** 2)
+
+
+def _complex(re, im):
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+class FrontierBases(NamedTuple):
+    """`design.FrontierBasis` of every channel, one array per field.
+
+    Collinear channels (q2 None in the scalar basis) are flagged; their q2
+    is zero, their c and psi_max are 0 and their phase is 1, so that u(0)
+    is q1 as in the scalar basis. A zero h1 gives NaN fields instead of an
+    error; `solve` fails those records with the error the scalar path
+    raises.
+    """
+    n1: np.ndarray
+    q1: np.ndarray
+    q2: np.ndarray
+    phase: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    psi_max: np.ndarray
+    collinear: np.ndarray
+
+    def vector(self, psi):
+        """u(psi) of every basis; psi broadcasts against the channels."""
+        return ((np.cos(psi) * self.phase)[..., None] * self.q1
+                + np.sin(psi)[..., None] * self.q2)
+
+    def scalar(self, t) -> FrontierBasis:
+        """The `design.FrontierBasis` of channel t, not collinear."""
+        return FrontierBasis(float(self.n1[t]), self.q1[t], self.q2[t],
+                             complex(self.phase[t]), float(self.a[t]),
+                             float(self.c[t]), float(self.psi_max[t]))
+
+
+def frontier_bases(h1, h2) -> FrontierBases:
+    """`design.frontier_basis` of each row pair of the (T, N) arrays h1, h2."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        n1 = _norm(h1)
+        q1 = h1 / n1[:, None]
+        c1 = _dot(q1.conj(), h2)
+        r = h2 - c1[:, None] * q1
+        c2 = _norm(r)
+        a = np.hypot(c1.real, c1.imag)
+        collinear = c2 < COLLINEAR_TOL * np.maximum(1.0, _norm(h2))
+        phase = np.where((a > 0.0) & ~collinear,
+                         _complex(c1.real / a, c1.imag / a), 1.0)
+        q2 = np.where(collinear[:, None], 0.0, r / c2[:, None])
+    c = np.where(collinear, 0.0, c2)
+    return FrontierBases(n1, q1, q2, phase, a, c, _map(math.atan2, c, a),
+                         collinear)
+
+
+class ChannelBatch:
+    """T channel draws as one (T, 2, N) array, with the per-channel
+    quantities that every scheme shares computed once."""
+
+    def __init__(self, channels):
+        self.channels = list(channels)
+        self.h = np.array([(ch.h1, ch.h2) for ch in self.channels],
+                          dtype=complex)
+        self.n = self.h.shape[2]
+        self._equal_gain = {}
+
+    @cached_property
+    def basis(self) -> FrontierBases:
+        return frontier_bases(self.h[:, 0], self.h[:, 1])
+
+    def equal_gain(self, phased: bool):
+        """`optimizer.equal_gain_vector` w of every channel, with its
+        uplink and downlink gains as (2, 1, T) arrays."""
+        if phased not in self._equal_gain:
+            h1, h2 = self.h[:, 0], self.h[:, 1]
+            if phased:
+                w = np.exp(-1j * np.angle(h1 + h2)) / math.sqrt(self.n)
+            else:
+                w = np.broadcast_to(np.ones(self.n, dtype=complex)
+                                    / math.sqrt(self.n), h1.shape)
+            self._equal_gain[phased] = (w, _uplink(w, self.h)[:, None],
+                                        _downlink(self.h, w)[:, None])
+        return self._equal_gain[phased]
+
+
+class OperatingPoints:
+    """P operating points as columns of the constraint constants: (P, 1)
+    per point, (2, P, 1) per user and point.
+
+    The points share N, eta and the rate targets and differ in sigma2 and
+    P_c, as the points of one sweep do. Each column holds a product that
+    the scalar formulas form first, so using it changes no rounding.
+    """
+
+    def __init__(self, params_list):
+        self.params = list(params_list)
+        first = self.params[0]
+        shared = (first.N, first.eta, first.r1_bar, first.r2_bar)
+        if any((p.N, p.eta, p.r1_bar, p.r2_bar) != shared for p in self.params):
+            raise ValueError("operating points must share N, eta and the "
+                             "rate targets")
+        eta = self.eta = first.eta
+        th = rate_thresholds(first)
+        t_up = np.array([th.theta_1r, th.theta_2r])[:, None, None]
+        t_dn = np.array([th.theta_r1, th.theta_r2])[:, None, None]
+        sigma2 = self.sigma2 = np.array([p.sigma2 for p in self.params])[:, None]
+        p_c = np.array([p.p_c for p in self.params])[:, None]
+        self.two_pc = 2.0 * p_c
+        self.circuit = 2.0 * p_c / eta
+        self.noise_up = sigma2 * t_up            # sigma2 theta_{i,r}
+        self.noise_dn = sigma2 * (t_dn - 1.0)    # sigma2 (theta_{r,i} - 1)
+        # numerator eta sigma2 (theta_{r,i} - 1) - 2 P_c of `recover_beta`
+        self.beta_num = eta * sigma2 * (t_dn - 1.0) - 2.0 * p_c
+        # targets of the margins up1, up2 and then down1, down2
+        self.targets = np.array([first.r1_bar, first.r2_bar,
+                                 first.r2_bar, first.r1_bar])[:, None, None]
+
+    def __len__(self):
+        return len(self.params)
+
+    def rhs(self, up):
+        """`design.constraint_rhs` from the (2, P, T) uplink gains."""
+        return self.noise_up / (self.eta * up) + self.noise_dn + self.circuit
+
+
+class _Board:
+    """Per-record status: "ok" until the first failed check."""
+
+    def __init__(self, shape):
+        self.ok = np.ones(shape, dtype=bool)
+        self.status = np.full(shape, "ok", dtype=object)
+
+    def fail(self, mask, error):
+        """Fail the records under ``mask`` that have not failed yet."""
+        new = self.ok & mask
+        if new.any():
+            self.status[new] = f"failed:{error.__name__}"
+            self.ok &= ~new
+
+    def floor(self, *gains):
+        """The gain-floor check of (2, ..., T) gains: DegenerateChannelError
+        at or below it."""
+        low = gains[0] <= GAIN_FLOOR
+        for g in gains[1:]:
+            low = low | (g <= GAIN_FLOOR)
+        self.fail(low[0] | low[1], DegenerateChannelError)
+
+
+class BatchResult(NamedTuple):
+    """Per-record outputs of `solve`, each (P, T) and NaN where the status
+    is a failure."""
+    p_r: np.ndarray
+    beta: np.ndarray      # (2, P, T): beta1, beta2
+    margins: np.ndarray   # (4, P, T): up1, up2, down1, down2
+    status: np.ndarray    # objects: "ok" or "failed:<error class>"
+
+
+def _crossing(basis: FrontierBases, a1, a2):
+    """tan phi of `design.frontier_crossing`, per record."""
+    n1, a, c = basis.n1, basis.a, basis.c
+    # c / a is inf for a = 0, where the scalar rule skips the cap
+    t = np.minimum(np.maximum((n1 * np.sqrt(a2 / a1) - a) / c, 0.0), c / a)
+    return np.where(c > 0.0, t, 0.0)
+
+
+def _frontier_combiner(basis: FrontierBases, rho, mu, ok):
+    """Combiner angle of `design._frontier_combiner`, per record.
+
+    The same rule in array form: an endpoint when the user terms do not
+    cross, else a bisection of [0, psi_max] that halves each record's
+    bracket until it is narrower than BISECT_TOL (about 52 halvings), then
+    the best of {0, psi_max, crossing} with ties to the earlier one. Only
+    records still ``ok`` are bisected.
+    """
+    n1, a, c = basis.n1, basis.a, basis.c
+
+    def terms(phi):
+        cos, sin = np.cos(phi), np.sin(phi)
+        x1 = (n1 * cos) ** 2
+        x2 = (a * cos + c * sin) ** 2
+        t1 = np.where(x1 > GAIN_FLOOR, rho[0] / x1 + mu[0], np.inf)
+        t2 = np.where(x2 > GAIN_FLOOR, rho[1] / x2 + mu[1], np.inf)
+        return t1, t2
+
+    phi_max = np.broadcast_to(basis.psi_max, ok.shape)
+    t1_lo, t2_lo = terms(0.0)
+    t1_hi, t2_hi = terms(phi_max)
+    at_lo = t1_lo >= t2_lo
+    at_end = at_lo | (t1_hi <= t2_hi)
+    lo = np.zeros(ok.shape)
+    hi = np.where(at_lo, 0.0, phi_max)
+    active = ok & ~basis.collinear & ~at_end
+    for _ in range(BISECT_MAX):
+        if not active.any():
+            break
+        mid = 0.5 * (lo + hi)
+        t1, t2 = terms(mid)
+        below = t1 < t2
+        lo = np.where(active & below, mid, lo)
+        hi = np.where(active & ~below, mid, hi)
+        active &= hi - lo >= BISECT_TOL
+    phi_star = np.where(at_end, hi, 0.5 * (lo + hi))
+
+    best = np.zeros(ok.shape)
+    value = np.maximum(t1_lo, t2_lo)
+    for phi, (t1, t2) in ((phi_max, (t1_hi, t2_hi)), (phi_star, terms(phi_star))):
+        v = np.maximum(t1, t2)
+        better = v < value
+        best = np.where(better, phi, best)
+        value = np.where(better, v, value)
+    return best
+
+
+def _combiner(batch: ChannelBatch, pts: OperatingPoints, board, down):
+    """`design.solve_combiner` for the beamformer with downlink gains
+    ``down``: the conjugate of the frontier vector at the optimal angle."""
+    if batch.n == 1:
+        return np.ones(board.ok.shape + (1,), dtype=complex)
+    rho = pts.noise_up / (pts.eta * down)
+    mu = (pts.noise_dn + pts.circuit) / down
+    basis = batch.basis
+    return basis.vector(_frontier_combiner(basis, rho, mu, board.ok)).conj()
+
+
+def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
+    """`required_power`, `complete_design` and `verify_rates` per record,
+    from the (2, P, T) gains of (f, g) and constraint right-hand sides."""
+    board.floor(up, down)
+    eta, sigma2 = pts.eta, pts.sigma2
+    ratio = rhs / down
+    p_r = np.maximum(ratio[0], ratio[1])
+
+    d = eta * p_r * down
+    k = pts.noise_up / (d * up)
+    lo = pts.noise_dn / (p_r * down)
+    hi = 1.0 - k - pts.two_pc / d
+    beta = 0.5 * (1.0 + pts.beta_num / d - k)
+    bad = ((lo > hi + BETA_SLACK) | (beta < -BETA_SLACK)
+           | (beta > 1.0 + BETA_SLACK))
+    board.fail(bad[0] | bad[1], InfeasibleError)
+    beta = np.minimum(np.maximum(beta, 0.0), 1.0)
+    for v in (f, g):  # the unit-norm check of `design.TransceiverDesign`
+        norm = np.sqrt((np.abs(v) ** 2).sum(axis=-1))
+        board.fail(np.abs(norm - 1.0) > UNIT_NORM_TOL, ValueError)
+
+    s = np.maximum(eta * (1.0 - beta) * p_r * down - pts.two_pc, 0.0) * up
+    tot = s[0] + s[1]
+    r_up = 0.5 * np.maximum(0.0, np.log2(np.where(tot > 0, s / tot, 0.0)
+                                          + s / sigma2))
+    r_down = 0.5 * np.log2(1.0 + beta * p_r * down / sigma2)
+    margins = np.concatenate([r_up, r_down]) - pts.targets
+
+    if not board.ok.all():
+        bad = ~board.ok
+        p_r = np.where(bad, np.nan, p_r)
+        beta = np.where(bad, np.nan, beta)
+        margins = np.where(bad, np.nan, margins)
+    return BatchResult(p_r=p_r, beta=beta, margins=margins, status=board.status)
+
+
+def _joint_angles(batch: ChannelBatch, pts: OperatingPoints, board):
+    """`optimizer.joint_angle` of every record, one scalar search each;
+    0 on collinear channels, where the scalar combiner is q1."""
+    basis = batch.basis
+    psi = np.zeros(board.ok.shape)
+    for t in range(len(batch.channels)):
+        if not basis.n1[t] > 0.0:
+            # `design.frontier_basis` raises on a zero h1
+            column = np.zeros(board.ok.shape, dtype=bool)
+            column[:, t] = True
+            board.fail(column, DegenerateChannelError)
+        elif not basis.collinear[t]:
+            scalar = basis.scalar(t)
+            for p, params in enumerate(pts.params):
+                psi[p, t] = joint_angle(scalar, params)
+    return psi
+
+
+def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
+          equal_gain_phased: bool = True) -> BatchResult:
+    """`optimizer.run_scheme` and `design.verify_rates` for every channel of
+    ``batch`` at every one of the P ``points``; the records are (P, T)."""
+    scheme = SchemeId(scheme)
+    board = _Board((len(points), len(batch.channels)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
+            g = batch.basis.vector(_joint_angles(batch, points, board)).conj()
+            up = _uplink(g, batch.h)
+        else:
+            w, up, down = batch.equal_gain(equal_gain_phased)
+            f = g = w
+        if scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
+            board.floor(down)
+            g = _combiner(batch, points, board, down)
+            up = _uplink(g, batch.h)
+        rhs = points.rhs(up)
+        if scheme in (SchemeId.JOINT_TRANSCEIVER_PS,
+                      SchemeId.BF_PS_EGC_RECEIVER):
+            # `design.solve_beamformer`: the frontier vector at the crossing
+            basis = batch.basis
+            tan_phi = _crossing(basis, rhs[0], rhs[1])
+            f = basis.vector(_map(math.atan, tan_phi)).conj()
+            down = _downlink(batch.h, f)
+        return _tail(points, board, f, g, up, down, rhs)

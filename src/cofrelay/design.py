@@ -20,6 +20,11 @@ from .lattice import mmse_alpha
 from .errors import DegenerateChannelError, InfeasibleError
 
 GAIN_FLOOR = 1e-30
+COLLINEAR_TOL = 1e-12   # relative residual below which h2 is collinear with h1
+BISECT_TOL = 1e-15      # bracket width that ends the combiner bisection
+BISECT_MAX = 200
+BETA_SLACK = 1e-9       # how far a splitting ratio may leave [0, 1] by rounding
+UNIT_NORM_TOL = 1e-10
 
 
 @dataclass
@@ -193,7 +198,7 @@ def frontier_basis(h1, h2) -> FrontierBasis:
     c2 = float(np.linalg.norm(r))
     a1 = abs(c1)
     phase = c1 / a1 if a1 > 0 else 1.0
-    if c2 < 1e-12 * max(1.0, np.linalg.norm(h2)):
+    if c2 < COLLINEAR_TOL * max(1.0, np.linalg.norm(h2)):
         return FrontierBasis(n1, q1, None, phase, a1, 0.0, 0.0)
     return FrontierBasis(n1, q1, r / c2, phase, a1, c2, math.atan2(c2, a1))
 
@@ -295,14 +300,14 @@ def _frontier_combiner(h_vecs, rho, mu):
         phi_star = phi_max
     else:
         lo, hi = 0.0, phi_max
-        for _ in range(200):
+        for _ in range(BISECT_MAX):
             mid = 0.5 * (lo + hi)
             t1, t2 = terms(mid)
             if t1 < t2:
                 lo = mid
             else:
                 hi = mid
-            if hi - lo < 1e-15:
+            if hi - lo < BISECT_TOL:
                 break
         phi_star = 0.5 * (lo + hi)
 
@@ -372,7 +377,7 @@ def recover_beta(p_r, f, g, channel, params: SystemParams):
             ((channel.h1, th.theta_1r, th.theta_r1),
              (channel.h2, th.theta_2r, th.theta_r2))):
         lo, hi = beta_interval(p_r, f, g, channel, params, user)
-        if lo > hi + 1e-9:
+        if lo > hi + BETA_SLACK:
             raise InfeasibleError(f"empty splitting interval for user {user + 1}: "
                                   f"[{lo}, {hi}]")
         hg = downlink_gain(f, h)
@@ -382,11 +387,11 @@ def recover_beta(p_r, f, g, channel, params: SystemParams):
                       / (params.eta * p_r * hg)
                       - params.sigma2 * t_up / (params.eta * p_r * hg * gi))
         if beta < 0.0:
-            if beta < -1e-9:
+            if beta < -BETA_SLACK:
                 raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")
             beta = 0.0
         elif beta > 1.0:
-            if beta > 1.0 + 1e-9:
+            if beta > 1.0 + BETA_SLACK:
                 raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")
             beta = 1.0
         betas.append(beta)
@@ -407,7 +412,7 @@ class TransceiverDesign:
     def __post_init__(self):
         for name, v in (("f", self.f), ("g", self.g)):
             nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > 1e-10:
+            if abs(nrm - 1.0) > UNIT_NORM_TOL:
                 raise ValueError(f"{name} must have unit norm, got {nrm}")
         for b in self.beta:
             if not -1e-12 <= b <= 1 + 1e-12:

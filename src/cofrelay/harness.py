@@ -1,8 +1,10 @@
 """Monte Carlo sweeps, the exhaustive N=2 oracle, and the lattice demo.
 
-Sweeps iterate axis point x scheme x trial in a fixed order with per-trial
-seed streams, so reruns with the same master seed reproduce byte-identical
-record CSVs and aggregation is independent of execution order.
+A sweep draws one channel per trial from per-trial seed streams and solves
+each scheme in one array pass over every (axis point, trial) pair
+(`batch.solve`); records are then sorted by axis point, scheme and trial.
+So reruns with the same master seed reproduce byte-identical record CSVs,
+and aggregation is independent of execution order.
 """
 
 from dataclasses import dataclass
@@ -11,11 +13,9 @@ import math
 
 import numpy as np
 
-from . import lattice
-from .design import SystemParams, rate_thresholds, verify_rates
-from .errors import (CofRelayError, ConfigError, DegenerateChannelError,
-                     DimensionError)
-from .optimizer import run_scheme
+from . import batch, lattice
+from .design import SystemParams, rate_thresholds
+from .errors import ConfigError, DegenerateChannelError, DimensionError
 from .scenario import (ScenarioConfig, db_from_power, gen_channel, trial_seed,
                        units_from_config, with_overrides)
 
@@ -80,44 +80,44 @@ def axis_points(cfg: ScenarioConfig):
 
 def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
               channels=None):
-    """All trial records for one operating point (every configured scheme)."""
-    point_cfg = with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none",
-                               axis_values=())
-    params = units_from_config(point_cfg)
+    """All trial records for one operating point (every configured scheme),
+    scheme by scheme and trial by trial: the batched pass of `run_sweep`
+    at a single point."""
     if channels is None:
         channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                     for t in range(cfg.trials)]
+    return _run_batch(cfg, [(snr_db, pc_dbm)], channels)
+
+
+def _run_batch(cfg: ScenarioConfig, points, channels):
+    """Trial records of every configured scheme at every (snr_db, pc_dbm)
+    point, one `batch.solve` pass per scheme over all (point, trial) pairs.
+    Records come scheme by scheme, then point by point, then trial by
+    trial; failed records carry NaN values and iterations 0."""
+    params = batch.OperatingPoints(
+        units_from_config(with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm,
+                                         axis="none", axis_values=()))
+        for snr_db, pc_dbm in points)
+    chans = batch.ChannelBatch(channels)
+    phased = cfg.equal_gain == "phased"
+    nan = float("nan")
     records = []
     for scheme in sorted(cfg.schemes):
-        for t, ch in enumerate(channels):
-            records.append(_run_trial(scheme, snr_db, pc_dbm, t, ch, params, cfg))
+        res = batch.solve(scheme, chans, params, equal_gain_phased=phased)
+        p_r, status = res.p_r.tolist(), res.status.tolist()
+        beta1, beta2 = (b.tolist() for b in res.beta)
+        up1, up2, down1, down2 = (m.tolist() for m in res.margins)
+        for p, (snr_db, pc_dbm) in enumerate(points):
+            for t, ch in enumerate(chans.channels):
+                ok = status[p][t] == "ok"
+                records.append(TrialRecord(
+                    scheme=scheme, snr_db=snr_db, pc_dbm=pc_dbm, trial=t,
+                    seed=ch.seed, p_r_db=db_from_power(p_r[p][t]) if ok else nan,
+                    iterations=0, beta1=beta1[p][t], beta2=beta2[p][t],
+                    margin_up1=up1[p][t], margin_up2=up2[p][t],
+                    margin_down1=down1[p][t], margin_down2=down2[p][t],
+                    status=status[p][t]))
     return records
-
-
-def _run_trial(scheme, snr_db, pc_dbm, trial, ch, params: SystemParams,
-               cfg: ScenarioConfig) -> TrialRecord:
-    try:
-        result = run_scheme(scheme, ch, params,
-                            equal_gain_phased=(cfg.equal_gain == "phased"))
-        report = verify_rates(result.design, ch, params)
-        return TrialRecord(scheme=scheme, snr_db=snr_db, pc_dbm=pc_dbm,
-                           trial=trial, seed=ch.seed,
-                           p_r_db=db_from_power(result.design.p_r),
-                           iterations=result.iterations,
-                           beta1=result.design.beta[0],
-                           beta2=result.design.beta[1],
-                           margin_up1=report.margins[0],
-                           margin_up2=report.margins[1],
-                           margin_down1=report.margins[2],
-                           margin_down2=report.margins[3],
-                           status="ok")
-    except CofRelayError as exc:
-        nan = float("nan")
-        return TrialRecord(scheme=scheme, snr_db=snr_db, pc_dbm=pc_dbm,
-                           trial=trial, seed=ch.seed, p_r_db=nan, iterations=0,
-                           beta1=nan, beta2=nan, margin_up1=nan, margin_up2=nan,
-                           margin_down1=nan, margin_down2=nan,
-                           status=f"failed:{type(exc).__name__}")
 
 
 def summarize(records) -> list:
@@ -165,15 +165,14 @@ def summary_csv(summaries) -> str:
 def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
     """Run the configured sweep; optionally write the two CSV files.
 
-    Returns (records, summaries). Per-trial solver failures are recorded
-    with a failed status and excluded from the means; they never abort the
-    sweep.
+    The channels are drawn once and shared by every axis point; each scheme
+    is one `batch.solve` pass over all (axis point, trial) pairs. Returns
+    (records, summaries). Per-trial failures are recorded with a failed
+    status and excluded from the means; they never abort the sweep.
     """
     channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                 for t in range(cfg.trials)]
-    records = []
-    for snr_db, pc_dbm in axis_points(cfg):
-        records.extend(run_point(cfg, snr_db, pc_dbm, channels=channels))
+    records = _run_batch(cfg, axis_points(cfg), channels)
     records.sort(key=lambda r: (r.snr_db, r.pc_dbm, r.scheme, r.trial))
     summaries = summarize(records)
     if records_path is not None:

@@ -2,10 +2,11 @@
 
 Scheme 1 is the global optimum of the joint design: both vectors lie on
 the two-user gain frontier, the best beamformer for a given combiner is a
-closed-form crossing, and `joint_combiner` searches the one remaining
-combiner angle. `alternate` keeps the paper's iterative algorithm, which
-alternates the beamformer and combiner subproblems until the relay power
-stalls and is only locally optimal; the oracle check compares it with
+closed-form crossing, and `joint_angle` searches the one remaining
+combiner angle (`joint_combiner` turns it into the vector). `alternate`
+keeps the paper's iterative algorithm, which alternates the beamformer
+and combiner subproblems until the relay power stalls and is only
+locally optimal; the oracle check compares it with
 scheme 1, and no sweep runs it. No semidefinite program runs on either
 path. Schemes 2-4 freeze one or both vectors: equal-gain weights are
 per-antenna unit-magnitude, phase matched to the sum channel (the
@@ -198,7 +199,17 @@ def _golden_section(fun, lo, hi, tol):
 
 
 def joint_combiner(channel, params: SystemParams) -> np.ndarray:
-    """Combiner of the jointly optimal (f, g): a 1-D search along the frontier.
+    """Combiner of the jointly optimal (f, g): conj(u(psi)) at the frontier
+    angle psi of `joint_angle`, or the matched filter of collinear channels.
+    """
+    basis = frontier_basis(channel.h1, channel.h2)
+    if basis.q2 is None:
+        return np.conj(basis.q1)
+    return np.conj(basis.vector(joint_angle(basis, params)))
+
+
+def joint_angle(basis: FrontierBasis, params: SystemParams) -> float:
+    """Combiner angle of the jointly optimal (f, g): a 1-D frontier search.
 
     Both optimal vectors lie on the gain frontier of `design.frontier_basis`,
     and for a combiner at angle psi the best beamformer has the closed form
@@ -207,11 +218,8 @@ def joint_combiner(channel, params: SystemParams) -> np.ndarray:
     on a uniform grid of GRID_POINTS angles, and the bracket around the
     best grid point is refined by golden-section search to ANGLE_TOL; the
     better of the two points is kept, so the result is never above the grid
-    minimum.
+    minimum. ``basis`` must not be collinear (its q2 is not None).
     """
-    basis = frontier_basis(channel.h1, channel.h2)
-    if basis.q2 is None:
-        return np.conj(basis.q1)
     # a_i = k_i / x_i + b_i, x_i the uplink gain (`design.constraint_rhs`)
     th = rate_thresholds(params)
     base = 2.0 * params.p_c / params.eta
@@ -236,7 +244,7 @@ def joint_combiner(channel, params: SystemParams) -> np.ndarray:
     lo, hi = psi[max(j - 1, 0)], psi[min(j + 1, GRID_POINTS - 1)]
     best = min(best, _golden_section(power, float(lo), float(hi), ANGLE_TOL),
                key=lambda pair: pair[1])
-    return np.conj(basis.vector(best[0]))
+    return best[0]
 
 
 class SchemeResult:

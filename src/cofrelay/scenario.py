@@ -75,6 +75,14 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
+        if not 0 < self.eta <= 1:
+            raise ConfigError(f"eta must lie in (0, 1], got {self.eta!r}")
+        for name in ("r1_bar", "r2_bar"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, "
+                                  f"got {getattr(self, name)!r}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.axis not in ("none", "snr", "pc"):
             raise ConfigError(f"axis must be none, snr or pc, got {self.axis!r}")
         if self.equal_gain not in ("phased", "unphased"):

@@ -75,24 +75,30 @@ class TestConstraintRhs:
 
 
 def grid_required_power_oracle(ch, par, steps=48):
-    """4-parameter exhaustive scan of required_power over unit f, g (N=2)."""
+    """4-parameter exhaustive scan of required_power over unit f, g (N=2).
+
+    Every (f, g) pair of the grid, as one array: beamformers with a
+    downlink gain below 1e-12 and combiners that `constraint_rhs` rejects
+    (an uplink gain at or below the floor) are skipped.
+    """
     ts = np.linspace(0, np.pi / 2, steps)
     ps = np.linspace(0, 2 * np.pi, steps, endpoint=False)
-    best = np.inf
-    vecs = [np.array([np.cos(t), np.sin(t) * np.exp(1j * p)])
-            for t in ts for p in ps]
-    for f in vecs:
-        h1f = design.downlink_gain(f, ch.h1)
-        h2f = design.downlink_gain(f, ch.h2)
-        if min(h1f, h2f) < 1e-12:
-            continue
-        for g in vecs:
-            try:
-                a = design.constraint_rhs(par, g, ch)
-            except DegenerateChannelError:
-                continue
-            best = min(best, max(a[0] / h1f, a[1] / h2f))
-    return best
+    tt, pp = np.meshgrid(ts, ps, indexing="ij")
+    vecs = np.stack([np.cos(tt).ravel(), (np.sin(tt) * np.exp(1j * pp)).ravel()],
+                    axis=1)
+    # |h^T f|^2 and |g . h|^2 are the same product for f = g = a grid vector
+    gains = [np.abs(vecs @ np.asarray(h)) ** 2 for h in (ch.h1, ch.h2)]
+    rows = np.minimum(*gains) >= 1e-12
+    cols = np.minimum(*gains) > design.GAIN_FLOOR
+    th = design.rate_thresholds(par)
+    terms = []
+    for gain, t_up, t_dn in zip(gains, (th.theta_1r, th.theta_2r),
+                                (th.theta_r1, th.theta_r2)):
+        a = (par.sigma2 * t_up / (par.eta * gain[cols])
+             + par.sigma2 * (t_dn - 1.0) + 2.0 * par.p_c / par.eta)
+        terms.append(a[None, :] / gain[rows][:, None])
+    power = np.maximum(*terms)
+    return float(power.min()) if power.size else np.inf
 
 
 class TestRequiredPower:

@@ -6,12 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cofrelay import cli, harness
-from cofrelay.design import SystemParams, rate_thresholds
-from cofrelay.errors import ConfigError, DimensionError, NestingError
+from cofrelay import batch, cli, harness
+from cofrelay.design import (SystemParams, rate_thresholds, recover_beta,
+                             required_power, verify_rates)
+from cofrelay.errors import (CofRelayError, ConfigError, DimensionError,
+                             InfeasibleError, NestingError)
+from cofrelay.optimizer import run_scheme
 from cofrelay.scenario import (ChannelRealization, ScenarioConfig, fig2_preset,
-                               gen_channel, trial_seed, units_from_config,
-                               with_overrides)
+                               fig3_preset, gen_channel, trial_seed,
+                               units_from_config, with_overrides)
 
 UNIT_CH = ChannelRealization(h1=np.array([1.0 + 0j]),
                              h2=np.array([1.0 + 0j]), seed=0)
@@ -83,6 +86,148 @@ class TestSweep:
         assert harness.axis_points(cfg) == [(0.0, 10.0), (10.0, 10.0)]
         cfg = small_cfg(axis="pc", axis_values=(5.0,), snr_db=15.0)
         assert harness.axis_points(cfg) == [(15.0, 5.0)]
+
+
+# Parity of the batched sweep with the scalar scheme path, fixed before the
+# batch was written: relative in p_r, absolute in betas and margins.
+P_R_TOL = 1e-12
+BETA_TOL = 1e-12
+MARGIN_TOL = 1e-10
+
+
+def _point_params(cfg, snr_db, pc_dbm):
+    return units_from_config(with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm,
+                                            axis="none", axis_values=()))
+
+
+def _scalar_reference(scheme, ch, params, phased):
+    """(status, iterations, (p_r, betas, margins) or None) of one record by
+    `run_scheme` and `verify_rates`."""
+    try:
+        res = run_scheme(scheme, ch, params, equal_gain_phased=phased)
+        report = verify_rates(res.design, ch, params)
+    except CofRelayError as exc:
+        return f"failed:{type(exc).__name__}", 0, None
+    return "ok", res.iterations, (res.design.p_r, res.design.beta,
+                                  report.margins)
+
+
+def _assert_parity(records, cfg, channels):
+    """Every record matches its scalar reference within the parity bounds."""
+    phased = cfg.equal_gain == "phased"
+    params = {}
+    for r in records:
+        point = (r.snr_db, r.pc_dbm)
+        if point not in params:
+            params[point] = _point_params(cfg, *point)
+        ch = channels[r.trial]
+        status, iterations, ref = _scalar_reference(r.scheme, ch,
+                                                    params[point], phased)
+        where = (r.scheme, point, r.trial)
+        assert (r.status, r.iterations, r.seed) == (status, iterations,
+                                                    ch.seed), where
+        got = (r.p_r_db, r.beta1, r.beta2) + r.margins()
+        if ref is None:
+            assert all(math.isnan(v) for v in got), where
+            continue
+        p_r, betas, margins = ref
+        assert abs(10.0 ** (r.p_r_db / 10.0) / p_r - 1.0) <= P_R_TOL, where
+        assert np.max(np.abs(np.subtract((r.beta1, r.beta2), betas))) <= BETA_TOL
+        assert np.max(np.abs(np.subtract(r.margins(), margins))) <= MARGIN_TOL
+
+
+EDGE_H1 = np.array([0.3 - 1.1j, 0.8 + 0.2j, -0.4 + 0.5j])
+EDGE_CHANNELS = {
+    "zero-h1": (np.zeros(3), EDGE_H1),
+    "zero-h2": (EDGE_H1, np.zeros(3)),
+    "collinear": (EDGE_H1, 2j * EDGE_H1),
+    "identical": (EDGE_H1, EDGE_H1),
+    "orthogonal": (np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])),
+}
+
+
+class TestBatchParity:
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
+                             ids=("fig2", "fig3"))
+    def test_presets(self, preset, equal_gain):
+        cfg = preset(master_seed=1234, equal_gain=equal_gain)
+        records, _ = harness.run_sweep(cfg)
+        assert len(records) == 4 * cfg.trials * len(cfg.axis_values)
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                    for t in range(cfg.trials)]
+        _assert_parity(records, cfg, channels)
+
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    @pytest.mark.parametrize("n", (1, 2, 8))
+    def test_antenna_counts(self, n, equal_gain):
+        cfg = ScenarioConfig(n=n, trials=25, master_seed=7, axis="snr",
+                             axis_values=(-10.0, 20.0, 50.0), pc_dbm=-20.0,
+                             r1_bar=1.0, r2_bar=3.0, equal_gain=equal_gain)
+        records, _ = harness.run_sweep(cfg)
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), n)
+                    for t in range(cfg.trials)]
+        _assert_parity(records, cfg, channels)
+
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    @pytest.mark.parametrize("kind", sorted(EDGE_CHANNELS))
+    def test_edge_channels(self, kind, equal_gain):
+        h1, h2 = EDGE_CHANNELS[kind]
+        edge = ChannelRealization(h1=np.asarray(h1, dtype=complex),
+                                  h2=np.asarray(h2, dtype=complex), seed=5)
+        channels = [gen_channel(11, 3), edge, gen_channel(12, 3)]
+        cfg = ScenarioConfig(n=3, trials=3, equal_gain=equal_gain)
+        points = [(0.0, 10.0), (20.0, -30.0), (40.0, 20.0)]
+        records = [r for point in points
+                   for r in harness.run_point(cfg, *point, channels=channels)]
+        _assert_parity(records, cfg, channels)
+        statuses = {r.status for r in records if r.trial == 1}
+        if kind.startswith("zero"):
+            assert statuses == {"failed:DegenerateChannelError"}
+        else:
+            assert statuses == {"ok"}
+
+        # all points in one batch: failed records stay NaN beside good ones
+        params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
+        for scheme in (1, 2, 3, 4):
+            res = batch.solve(scheme, batch.ChannelBatch(channels), params,
+                              equal_gain_phased=(equal_gain == "phased"))
+            for p, par in enumerate(params.params):
+                for t, ch in enumerate(channels):
+                    status, _, ref = _scalar_reference(scheme, ch, par,
+                                                       equal_gain == "phased")
+                    assert res.status[p, t] == status
+                    if ref is None:
+                        assert math.isnan(res.p_r[p, t])
+                    else:
+                        assert res.p_r[p, t] == pytest.approx(ref[0],
+                                                              rel=P_R_TOL)
+
+    @pytest.mark.parametrize("scale", (0.5, 2.0))
+    def test_splitting_check_off_the_required_power(self, scale):
+        # A sweep always runs at the required power, where both splitting
+        # intervals are nonempty; scaling the right-hand sides by a power
+        # of two scales P_r exactly, so the batch's interval check and
+        # ratios meet the scalar `recover_beta` at that P_r.
+        channels = [gen_channel(trial_seed(3, t), 4) for t in range(8)]
+        par = _point_params(ScenarioConfig(), 20.0, 10.0)
+        points = batch.OperatingPoints([par])
+        w, up, down = batch.ChannelBatch(channels).equal_gain(True)
+        with np.errstate(divide="ignore", invalid="ignore"):  # as in solve
+            res = batch._tail(points, batch._Board((1, len(channels))), w, w,
+                              up, down, scale * points.rhs(up))
+        for t, ch in enumerate(channels):
+            p_r = scale * required_power(w[t], w[t], ch, par)
+            try:
+                betas = recover_beta(p_r, w[t], w[t], ch, par)
+            except InfeasibleError:
+                assert res.status[0, t] == "failed:InfeasibleError"
+                assert math.isnan(res.p_r[0, t])
+                continue
+            assert res.status[0, t] == "ok"
+            assert res.p_r[0, t] == p_r
+            assert np.max(np.abs(res.beta[:, 0, t] - betas)) <= BETA_TOL
+        assert (res.status == "ok").all() == (scale > 1.0)
 
 
 def _oracle_reference(channel, params, resolution):
@@ -286,21 +431,22 @@ class TestCli:
         assert len(lines) == 1 + 7
 
     def test_failure_budget_exit_code(self, tmp_path, monkeypatch):
-        from cofrelay import harness as hm
-        from cofrelay.errors import SolverFailureError
-        real = hm.run_scheme
+        real = harness.gen_channel
 
-        def flaky(scheme, ch, params, **kw):
-            if ch.seed % 2 == 0:
-                raise SolverFailureError("injected")
-            return real(scheme, ch, params, **kw)
+        def dead_user(seed, n):
+            # a zero channel toward user 1 on every even seed
+            ch = real(seed, n)
+            if ch.seed % 2:
+                return ch
+            return ChannelRealization(h1=np.zeros(n, dtype=complex),
+                                      h2=ch.h2, seed=ch.seed)
 
-        monkeypatch.setattr(hm, "run_scheme", flaky)
+        monkeypatch.setattr(harness, "gen_channel", dead_user)
         rc = cli.main(["sweep", "--trials", "6", "--schemes", "4",
                        "--axis", "none", "--out-dir", str(tmp_path)])
         assert rc == 2
         body = (tmp_path / "records.csv").read_text()
-        assert "failed:SolverFailureError" in body
+        assert "failed:DegenerateChannelError" in body
 
     def test_config_file_with_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
@@ -317,9 +463,13 @@ class TestCli:
         assert cli.main(["sweep", "--preset", "fig2", "--config", "x.cfg"]) == 1
         assert cli.main(["lattice-demo", "--scales", "1,2"]) == 1
         capsys.readouterr()
-        for argv in (["oracle-check", "--resolution", "16"],
-                     ["oracle-check", "--n", "4"],
-                     ["oracle-check", "--channels", "0"]):
+        out_of_range = [["--eta", "2"], ["--eta", "0"], ["--r1-bar", "-1"],
+                        ["--seed", "-1"]]
+        for argv in ([["oracle-check", "--resolution", "16"],
+                      ["oracle-check", "--n", "4"],
+                      ["oracle-check", "--channels", "0"]]
+                     + [[cmd] + flags for cmd in ("sweep", "solve")
+                        for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ")

@@ -91,6 +91,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(schemes=(1, 5))
 
+    @pytest.mark.parametrize("key,value", [
+        ("eta", 0.0), ("eta", 2.0), ("eta", -0.5), ("r1_bar", -1.0),
+        ("r2_bar", 0.0), ("master_seed", -1)])
+    def test_out_of_range_rejected(self, key, value):
+        # SystemParams and SeedSequence would raise a bare ValueError later
+        with pytest.raises(ConfigError):
+            scenario.ScenarioConfig(**{key: value})
+        with pytest.raises(ConfigError):
+            scenario.parse_config(f"{key}={value}\n")
+
+    def test_range_edges_accepted(self):
+        cfg = scenario.ScenarioConfig(eta=1.0, r1_bar=1e-3, r2_bar=1e-3,
+                                      master_seed=0)
+        assert scenario.units_from_config(cfg).eta == 1.0
+
     def test_axis_needs_values(self):
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(axis="snr", axis_values=())
