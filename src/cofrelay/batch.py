@@ -9,6 +9,9 @@ bound what rounding leaves between the two paths. Every check of the
 scalar path is an array mask with the same threshold; a record that fails
 one carries the error class the scalar path would raise as its status.
 
+Both frontier steps call `design.frontier_crossings`, whose tan phi is
+the scalar rule's bit for bit; the angle is then `math.atan` per record.
+
 Scheme 1's angle search stays the scalar `optimizer.joint_angle`, called
 once per record, and the batch takes over from its combiner angle on: a
 golden-section search vectorised over the records costs a fixed number of
@@ -22,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import (BETA_SLACK, BISECT_MAX, BISECT_TOL, COLLINEAR_TOL,
-                     GAIN_FLOOR, UNIT_NORM_TOL, FrontierBasis, rate_thresholds)
+from .design import (BETA_SLACK, COLLINEAR_TOL, GAIN_FLOOR, UNIT_NORM_TOL,
+                     FrontierBasis, frontier_crossings, rate_thresholds)
 from .errors import DegenerateChannelError, InfeasibleError
 from .optimizer import SchemeId, joint_angle
 
@@ -219,62 +222,6 @@ class BatchResult(NamedTuple):
     status: np.ndarray    # objects: "ok" or "failed:<error class>"
 
 
-def _crossing(basis: FrontierBases, a1, a2):
-    """tan phi of `design.frontier_crossing`, per record."""
-    n1, a, c = basis.n1, basis.a, basis.c
-    # c / a is inf for a = 0, where the scalar rule skips the cap
-    t = np.minimum(np.maximum((n1 * np.sqrt(a2 / a1) - a) / c, 0.0), c / a)
-    return np.where(c > 0.0, t, 0.0)
-
-
-def _frontier_combiner(basis: FrontierBases, rho, mu, ok):
-    """Combiner angle of `design._frontier_combiner`, per record.
-
-    The same rule in array form: an endpoint when the user terms do not
-    cross, else a bisection of [0, psi_max] that halves each record's
-    bracket until it is narrower than BISECT_TOL (about 52 halvings), then
-    the best of {0, psi_max, crossing} with ties to the earlier one. Only
-    records still ``ok`` are bisected.
-    """
-    n1, a, c = basis.n1, basis.a, basis.c
-
-    def terms(phi):
-        cos, sin = np.cos(phi), np.sin(phi)
-        x1 = (n1 * cos) ** 2
-        x2 = (a * cos + c * sin) ** 2
-        t1 = np.where(x1 > GAIN_FLOOR, rho[0] / x1 + mu[0], np.inf)
-        t2 = np.where(x2 > GAIN_FLOOR, rho[1] / x2 + mu[1], np.inf)
-        return t1, t2
-
-    phi_max = np.broadcast_to(basis.psi_max, ok.shape)
-    t1_lo, t2_lo = terms(0.0)
-    t1_hi, t2_hi = terms(phi_max)
-    at_lo = t1_lo >= t2_lo
-    at_end = at_lo | (t1_hi <= t2_hi)
-    lo = np.zeros(ok.shape)
-    hi = np.where(at_lo, 0.0, phi_max)
-    active = ok & ~basis.collinear & ~at_end
-    for _ in range(BISECT_MAX):
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        t1, t2 = terms(mid)
-        below = t1 < t2
-        lo = np.where(active & below, mid, lo)
-        hi = np.where(active & ~below, mid, hi)
-        active &= hi - lo >= BISECT_TOL
-    phi_star = np.where(at_end, hi, 0.5 * (lo + hi))
-
-    best = np.zeros(ok.shape)
-    value = np.maximum(t1_lo, t2_lo)
-    for phi, (t1, t2) in ((phi_max, (t1_hi, t2_hi)), (phi_star, terms(phi_star))):
-        v = np.maximum(t1, t2)
-        better = v < value
-        best = np.where(better, phi, best)
-        value = np.where(better, v, value)
-    return best
-
-
 def _combiner(batch: ChannelBatch, pts: OperatingPoints, board, down):
     """`design.solve_combiner` for the beamformer with downlink gains
     ``down``: the conjugate of the frontier vector at the optimal angle."""
@@ -283,7 +230,8 @@ def _combiner(batch: ChannelBatch, pts: OperatingPoints, board, down):
     rho = pts.noise_up / (pts.eta * down)
     mu = (pts.noise_dn + pts.circuit) / down
     basis = batch.basis
-    return basis.vector(_frontier_combiner(basis, rho, mu, board.ok)).conj()
+    tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
+    return basis.vector(_map(math.atan, tan_phi)).conj()
 
 
 def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
@@ -362,7 +310,8 @@ def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
                       SchemeId.BF_PS_EGC_RECEIVER):
             # `design.solve_beamformer`: the frontier vector at the crossing
             basis = batch.basis
-            tan_phi = _crossing(basis, rhs[0], rhs[1])
+            tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rhs,
+                                            (0.0, 0.0))
             f = basis.vector(_map(math.atan, tan_phi)).conj()
             down = _downlink(batch.h, f)
         return _tail(points, board, f, g, up, down, rhs)

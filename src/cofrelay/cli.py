@@ -120,6 +120,8 @@ def _make_parser() -> _Parser:
 
 
 def _cmd_solve(args) -> int:
+    if args.trial < 0:
+        raise _UsageError("--trial must be >= 0")
     cfg = _build_config(args)
     params = units_from_config(cfg)
     ch = gen_channel(trial_seed(cfg.master_seed, args.trial), cfg.n)
@@ -194,6 +196,12 @@ def _cmd_lattice_demo(args) -> int:
     scales = tuple(float(v) for v in args.scales.split(","))
     if len(scales) != 3:
         raise _UsageError("--scales needs exactly three comma-separated values")
+    if args.dim < 1:
+        raise _UsageError("--dim must be at least 1")
+    if args.seed < 0:
+        raise _UsageError("--seed must be >= 0")
+    if not args.sigma2 >= 0.0:
+        raise _UsageError("--sigma2 must be >= 0")
     harness.lattice_demo(scales=scales, dim=args.dim, seed=args.seed,
                          sigma2=args.sigma2, exhaustive=args.exhaustive)
     return EXIT_OK

@@ -6,6 +6,11 @@ transmission model, i.e. uplink |g . h_i|^2 and downlink |h_i^T f|^2 with a
 plain (unconjugated) dot product; the eigen-domain vector associated with g
 is its conjugate.
 
+Both subproblems, the beamformer step (fixed g, mu = 0) and the combiner
+step (fixed f), minimize max_i rho_i/|u^H h_i|^2 + mu_i over a unit u. The
+optimum lies on the gain frontier (`FrontierBasis`), so one crossing rule,
+`frontier_crossing` and its array twin `frontier_crossings`, solves both.
+
 All powers are linear; dB conversion happens at the scenario boundary.
 """
 
@@ -21,8 +26,7 @@ from .errors import DegenerateChannelError, InfeasibleError
 
 GAIN_FLOOR = 1e-30
 COLLINEAR_TOL = 1e-12   # relative residual below which h2 is collinear with h1
-BISECT_TOL = 1e-15      # bracket width that ends the combiner bisection
-BISECT_MAX = 200
+NEWTON_MAX = 32         # step cap of the frontier crossing's Newton iteration
 BETA_SLACK = 1e-9       # how far a splitting ratio may leave [0, 1] by rounding
 UNIT_NORM_TOL = 1e-10
 
@@ -30,27 +34,21 @@ UNIT_NORM_TOL = 1e-10
 @dataclass
 class SystemParams:
     """Static system parameters: antennas, conversion efficiency, circuit
-    power, noise power (with optional pre/post splitter split), rate targets."""
+    power, noise power, rate targets."""
     N: int
     eta: float
     p_c: float
     sigma2: float
     r1_bar: float
     r2_bar: float
-    sigma2_a: float = 0.0
-    sigma2_p: float = None
 
     def __post_init__(self):
-        if self.sigma2_p is None:
-            self.sigma2_p = self.sigma2 - self.sigma2_a
         if self.N < 1:
             raise ValueError("need at least one antenna")
         if not 0 < self.eta <= 1:
             raise ValueError("conversion efficiency must lie in (0, 1]")
         if self.sigma2 <= 0:
             raise ValueError("noise power must be positive")
-        if abs(self.sigma2_a + self.sigma2_p - self.sigma2) > 1e-12 * self.sigma2:
-            raise ValueError("splitter noise powers must sum to sigma2")
         if self.r1_bar <= 0 or self.r2_bar <= 0:
             raise ValueError("rate targets must be positive")
         if self.p_c < 0:
@@ -166,11 +164,17 @@ class FrontierBasis(NamedTuple):
     q1 = h1/n1 with n1 = |h1|, c1 = q1^H h2, A = |c1|, C = |h2 - c1 q1|,
     q2 = (h2 - c1 q1)/C, phase = c1/A and psi_max = atan2(C, A). The unit
     vectors u(psi) = cos(psi) phase q1 + sin(psi) q2, psi in [0, psi_max],
-    add the two components of h2 coherently and carry every Pareto-optimal
-    gain pair: |u^H h1|^2 = n1^2 cos^2 psi and
-    |u^H h2|^2 = (A cos psi + C sin psi)^2. The optimal combiner g and the
-    optimal beamformer f are both conj(u(psi)) for some psi. On collinear
-    channels q2 is None, C = psi_max = 0 and the frontier is the point q1.
+    carry every Pareto-optimal gain pair: |u^H h1|^2 = n1^2 cos^2 psi and
+    |u^H h2|^2 = (A cos psi + C sin psi)^2. On collinear channels q2 is
+    None, C = psi_max = 0 and the frontier is the point q1.
+
+    The optimal g and f are both conj(u(psi)) for some psi. Both steps see
+    u only through the gains |u^H h_i|^2, to which a component outside
+    span{h1, h2} adds nothing: the rank-one optimum of two quadratic
+    constraints (Sidiropoulos, Davidson & Luo 2006; Huang & Palomar 2010).
+    In the span, u = cos(psi) e^{i theta} q1 + sin(psi) e^{i omega} q2 has
+    |u^H h1| = n1 |cos psi| and |u^H h2| <= A |cos psi| + C |sin psi|, with
+    equality when the components of h2 add coherently, as in u(psi).
     """
     n1: float
     q1: np.ndarray
@@ -203,29 +207,116 @@ def frontier_basis(h1, h2) -> FrontierBasis:
     return FrontierBasis(n1, q1, r / c2, phase, a1, c2, math.atan2(c2, a1))
 
 
-def frontier_crossing(basis: FrontierBasis, a1: float, a2: float):
-    """(tan phi, P) minimizing max(a1/H1(phi), a2/H2(phi)) along the frontier,
-    H_i the downlink gains of f = conj(u(phi)); see `solve_beamformer`.
+def frontier_crossing(n1, a, c, rho, mu):
+    """(tan phi, level) minimizing max(T1, T2), T_i = rho_i/x_i + mu_i,
+    over the frontier gains x_i of a `FrontierBasis` (n1, A, C).
 
-    P is evaluated as (1 + tan^2 phi) max(a1/n1^2, a2/(A + C tan phi)^2),
-    which equals the closed form P* at the crossing without its
-    cancellation.
+    With t = tan phi and s = 1 + t^2, T1 = rho1 s/n1^2 + mu1 rises and
+    T2 = rho2 s/(A + C t)^2 + mu2 falls on [0, C/A], so the optimum is an
+    end of [0, C/A] or the root of
+
+        g(t) = A + C t - n1 sqrt(rho2 s/(rho1 s + d)),  d = (mu1 - mu2) n1^2.
+
+    For mu1 = mu2 (the beamformer step has mu = 0) g is linear, with root
+    (n1 sqrt(rho2/rho1) - A)/C. Otherwise let alpha_i = rho_i/n_i^2,
+    L_i = alpha_i + mu_i, and x the tangent of the angle from the matched
+    filter of the user with the larger L (x = t for user 1, else
+    (C - A t)/(A + C t)). The root is that of the convex, rising
+
+        R(x) = (A + C x) sqrt(delta + p x^2) - sqrt(q) (C - A x),
+
+    delta = |L1 - L2|, p that user's alpha and q the other's. If R(0) < 0,
+    Newton descends onto it from the smaller root of R's lower bounds with
+    sqrt(p) x and sqrt(delta) for the square root, until a step no longer
+    decreases x or NEWTON_MAX steps (8 at most on the fig2 and fig3 presets
+    and a random stress set). Both rho_i must be positive.
     """
-    n1, a, c = basis.n1, basis.a, basis.c
+    (r1, r2), (m1, m2) = rho, mu
     t = 0.0
     if c > 0.0:
-        t = max((n1 * math.sqrt(a2 / a1) - a) / c, 0.0)
-        if a > 0.0:
-            t = min(t, c / a)
-    return t, (1.0 + t * t) * max(a1 / (n1 * n1), a2 / (a + c * t) ** 2)
+        if m1 == m2:
+            t = max((n1 * math.sqrt(r2 / r1) - a) / c, 0.0)
+            if a > 0.0:
+                t = min(t, c / a)
+        else:
+            t = _newton_crossing(n1, a, c, r1, r2, m1, m2)
+    s = 1.0 + t * t
+    return t, max(s * (r1 / (n1 * n1)) + m1, s * (r2 / (a + c * t) ** 2) + m2)
+
+
+def _newton_crossing(n1, a, c, r1, r2, m1, m2):
+    """tan phi of `frontier_crossing` for mu1 != mu2 and C > 0."""
+    al1, al2 = r1 / (n1 * n1), r2 / (a * a + c * c)
+    swap = al2 + m2 > al1 + m1
+    p, q = (al2, al1) if swap else (al1, al2)
+    delta = abs((al1 + m1) - (al2 + m2))
+    sq, sd = math.sqrt(q), math.sqrt(delta)
+    x = 0.0
+    if a * sd < sq * c:  # R(0) < 0
+        # roots of the lower bounds with sqrt(p) x and sqrt(delta)
+        b = a * (math.sqrt(p) + sq)
+        x = 2.0 * sq * c / (b + math.sqrt(b * b + 4.0 * c * c
+                                          * math.sqrt(p * q)))
+        den = c * sd + a * sq
+        if den > 0.0:
+            x = min(x, (sq * c - a * sd) / den)
+        for _ in range(NEWTON_MAX):
+            w = math.sqrt(delta + p * x * x)
+            step = (((a + c * x) * w - sq * (c - a * x))
+                    / (c * w + (a + c * x) * p * x / w + a * sq))
+            if not 0.0 < x - step < x:
+                break
+            x -= step
+    return (c - a * x) / (a + c * x) if swap else x
+
+
+def frontier_crossings(n1, a, c, rho, mu):
+    """Array twin of `frontier_crossing` over arrays that broadcast
+    together: the same float operations, so tan phi is the scalar result
+    bit for bit. The level can differ in its last bit, as Python's float
+    ``** 2`` is C ``pow`` and numpy's is x * x.
+    """
+    (r1, r2), (m1, m2) = rho, mu
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inside = c > 0.0
+        # c / a is inf for a = 0, where the scalar rule skips the cap
+        t = np.minimum(np.maximum((n1 * np.sqrt(r2 / r1) - a) / c, 0.0),
+                       np.divide(c, a))
+        general = inside & (m1 != m2)
+        if np.count_nonzero(general):
+            al1, al2 = r1 / (n1 * n1), r2 / (a * a + c * c)
+            swap = al2 + m2 > al1 + m1
+            p, q = np.where(swap, al2, al1), np.where(swap, al1, al2)
+            delta = np.abs((al1 + m1) - (al2 + m2))
+            sq, sd = np.sqrt(q), np.sqrt(delta)
+            active = general & (a * sd < sq * c)
+            b = a * (np.sqrt(p) + sq)
+            x = 2.0 * sq * c / (b + np.sqrt(b * b + 4.0 * c * c
+                                            * np.sqrt(p * q)))
+            den = c * sd + a * sq
+            x = np.where(den > 0.0, np.minimum(x, (sq * c - a * sd) / den), x)
+            x = np.where(active, x, 0.0)
+            for _ in range(NEWTON_MAX):
+                if not np.count_nonzero(active):
+                    break
+                w = np.sqrt(delta + p * x * x)
+                step = (((a + c * x) * w - sq * (c - a * x))
+                        / (c * w + (a + c * x) * p * x / w + a * sq))
+                active &= (0.0 < x - step) & (x - step < x)
+                x = np.where(active, x - step, x)
+            t = np.where(general, np.where(swap, (c - a * x) / (a + c * x), x), t)
+        t = np.where(inside, t, 0.0)
+        s = 1.0 + t * t
+        level = np.maximum(s * (r1 / (n1 * n1)) + m1,
+                           s * (r2 / (a + c * t) ** 2) + m2)
+    return t, level
 
 
 def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     """Optimal beamformer for a fixed combiner, in closed form.
 
     The optimal f is the conjugate of a frontier vector u(phi) of
-    `frontier_basis` (two quadratic constraints admit a rank-one optimum:
-    Sidiropoulos, Davidson & Luo 2006; Huang & Palomar 2010), so
+    `frontier_basis` (see `FrontierBasis` for why), so
     min_f max_i a_i/|h_i^T f|^2 is min over phi in [0, psi_max] of
     max(a1/(n1^2 cos^2 phi), a2/(A cos phi + C sin phi)^2). The first term
     increases in phi and the second decreases, and with r = sqrt(a2/a1):
@@ -234,10 +325,13 @@ def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     - else if n1 A r >= n2^2, then phi = psi_max;
     - otherwise tan phi = (n1 r - A)/C, where both terms meet at
       P* = (n2^2 a1 + n1^2 a2 - 2 n1 A sqrt(a1 a2)) / (n1^2 C^2).
+
+    This is `frontier_crossing` with rho = (a1, a2) and mu = (0, 0).
     """
     a1, a2 = constraint_rhs(params, g, channel)
     basis = frontier_basis(channel.h1, channel.h2)
-    tan_phi, p_r = frontier_crossing(basis, a1, a2)
+    tan_phi, p_r = frontier_crossing(basis.n1, basis.a, basis.c, (a1, a2),
+                                     (0.0, 0.0))
     f = np.conj(basis.vector(math.atan(tan_phi)))
     return BeamformerDesign(p_r=p_r, f=f, rank_ratio=0.0)
 
@@ -272,55 +366,13 @@ def _combiner_objective(u, h_vecs, rho, mu):
     return val
 
 
-def _frontier_combiner(h_vecs, rho, mu):
-    """Exact minimizer u of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
-
-    The optimal u lies on the gain frontier of `frontier_basis`. Along its
-    angle phi the first term increases and the second decreases, so the
-    optimum is either an endpoint or the crossing, found by bisection.
-    """
-    basis = frontier_basis(*h_vecs)
-    if basis.q2 is None:
-        return basis.q1  # collinear channels: matched filtering serves both users
-
-    n1, a, c, phi_max = basis.n1, basis.a, basis.c, basis.psi_max
-
-    def terms(phi):
-        x1 = (n1 * math.cos(phi)) ** 2
-        x2 = (a * math.cos(phi) + c * math.sin(phi)) ** 2
-        t1 = rho[0] / x1 + mu[0] if x1 > GAIN_FLOOR else np.inf
-        t2 = rho[1] / x2 + mu[1] if x2 > GAIN_FLOOR else np.inf
-        return t1, t2
-
-    t1_lo, t2_lo = terms(0.0)
-    t1_hi, t2_hi = terms(phi_max)
-    if t1_lo >= t2_lo:
-        phi_star = 0.0
-    elif t1_hi <= t2_hi:
-        phi_star = phi_max
-    else:
-        lo, hi = 0.0, phi_max
-        for _ in range(BISECT_MAX):
-            mid = 0.5 * (lo + hi)
-            t1, t2 = terms(mid)
-            if t1 < t2:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < BISECT_TOL:
-                break
-        phi_star = 0.5 * (lo + hi)
-
-    best_phi = min((0.0, phi_max, phi_star), key=lambda p: max(*terms(p)))
-    return basis.vector(best_phi)
-
-
 def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
     """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
 
     Users with rho_i = mu_i = 0 are dropped (degenerate single-user case).
-    This is the combiner step (`solve_combiner`); with mu = 0 the same
-    problem has the closed form of `solve_beamformer`.
+    Two users get the frontier vector at the crossing of
+    `frontier_crossing`. This is the combiner step (`solve_combiner`);
+    with mu = 0 it is the beamformer step of `solve_beamformer`.
     """
     h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
     n = len(h_vecs[0])
@@ -336,7 +388,11 @@ def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
     elif len(hs) == 1:
         u = hs[0] / np.linalg.norm(hs[0])  # matched filter
     else:
-        u = _frontier_combiner(hs, rs, ms)
+        if min(rs) <= 0:
+            raise ValueError("both users of the frontier need rho_i > 0")
+        basis = frontier_basis(*hs)
+        tan_phi, _ = frontier_crossing(basis.n1, basis.a, basis.c, rs, ms)
+        u = basis.vector(math.atan(tan_phi))
 
     return CombinerDesign(g=u.conj(),
                           p_r_implied=_combiner_objective(u, hs, rs, ms))
@@ -442,8 +498,6 @@ class RateReport:
     """Achieved rate bounds and margins against the targets."""
     r_up: tuple          # node i -> relay, per user
     r_down: tuple        # relay -> node i (high-SNR splitter approximation)
-    r_down_exact: tuple  # relay -> node i with the exact splitter noise model
-    r_end_to_end: tuple  # min over the two hops carrying each user's message
     margins: tuple       # (up1, up2, down1, down2) against the rate targets
     alpha: float
     gamma: tuple
@@ -453,10 +507,8 @@ def verify_rates(design: TransceiverDesign, channel, params: SystemParams) -> Ra
     """Evaluate the achievable-rate bounds of a populated design.
 
     Uplink: R_{i,r} = 1/2 [log2(gamma_i + P_i |g h_i|^2 / sigma^2)]^+.
-    Downlink: R_{r,i} = 1/2 log2(1 + beta_i P_r |h_i^T f|^2 / sigma^2), with
-    the exact splitter-noise form reported alongside. End-to-end rates pair
-    each user's uplink with the opposite downlink. Negative margins are
-    reported, never raised.
+    Downlink: R_{r,i} = 1/2 log2(1 + beta_i P_r |h_i^T f|^2 / sigma^2).
+    Negative margins are reported, never raised.
     """
     g_gain = [uplink_gain(design.g, channel.h1), uplink_gain(design.g, channel.h2)]
     h_gain = [downlink_gain(design.f, channel.h1), downlink_gain(design.f, channel.h2)]
@@ -469,17 +521,11 @@ def verify_rates(design: TransceiverDesign, channel, params: SystemParams) -> Ra
     for p, gg, gm in zip(design.p_uplink, g_gain, gamma):
         snr = gm + max(p, 0.0) * gg / params.sigma2
         r_up.append(0.5 * max(0.0, math.log2(snr)) if snr > 0 else 0.0)
-    r_down, r_down_exact = [], []
-    for b, hg in zip(design.beta, h_gain):
-        r_down.append(0.5 * math.log2(1.0 + b * design.p_r * hg / params.sigma2))
-        den = b * params.sigma2_a + params.sigma2_p
-        r_down_exact.append(0.5 * math.log2(1.0 + b * design.p_r * hg / den)
-                            if den > 0 else float("inf"))
+    r_down = [0.5 * math.log2(1.0 + b * design.p_r * hg / params.sigma2)
+              for b, hg in zip(design.beta, h_gain)]
 
     targets = (params.r1_bar, params.r2_bar)
     margins = (r_up[0] - targets[0], r_up[1] - targets[1],
                r_down[0] - targets[1], r_down[1] - targets[0])
-    r_end = (min(r_up[0], r_down[1]), min(r_up[1], r_down[0]))
     return RateReport(r_up=tuple(r_up), r_down=tuple(r_down),
-                      r_down_exact=tuple(r_down_exact), r_end_to_end=r_end,
                       margins=margins, alpha=alpha, gamma=gamma)

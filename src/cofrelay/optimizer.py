@@ -22,8 +22,8 @@ import numpy as np
 
 from .design import (GAIN_FLOOR, FrontierBasis, SystemParams,
                      TransceiverDesign, complete_design, frontier_basis,
-                     frontier_crossing, rate_thresholds, required_power,
-                     solve_beamformer, solve_combiner)
+                     frontier_crossing, frontier_crossings, rate_thresholds,
+                     required_power, solve_beamformer, solve_combiner)
 from .errors import (DegenerateChannelError, InfeasibleError,
                      SolverFailureError)
 
@@ -164,23 +164,6 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
     return best
 
 
-def _frontier_powers(basis: FrontierBasis, coeffs, psi) -> np.ndarray:
-    """P*(a1(psi), a2(psi)) of `design.frontier_crossing` on an array of
-    combiner angles; inf where a gain is at or below the floor."""
-    (k1, b1), (k2, b2) = coeffs
-    n1, a, c = basis.n1, basis.a, basis.c
-    cos, sin = np.cos(psi), np.sin(psi)
-    x1 = (n1 * cos) ** 2
-    x2 = (a * cos + c * sin) ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a1 = k1 / x1 + b1
-        a2 = k2 / x2 + b2
-        t = np.clip((n1 * np.sqrt(a2 / a1) - a) / c, 0.0,
-                    c / a if a > 0.0 else np.inf)
-        p = (1.0 + t * t) * np.maximum(a1 / (n1 * n1), a2 / (a + c * t) ** 2)
-    return np.where((x1 > GAIN_FLOOR) & (x2 > GAIN_FLOOR), p, np.inf)
-
-
 def _golden_section(fun, lo, hi, tol):
     """(x, fun(x)) at the minimum of a unimodal ``fun`` on [lo, hi]."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
@@ -223,23 +206,30 @@ def joint_angle(basis: FrontierBasis, params: SystemParams) -> float:
     # a_i = k_i / x_i + b_i, x_i the uplink gain (`design.constraint_rhs`)
     th = rate_thresholds(params)
     base = 2.0 * params.p_c / params.eta
-    coeffs = ((params.sigma2 * th.theta_1r / params.eta,
-               params.sigma2 * (th.theta_r1 - 1.0) + base),
-              (params.sigma2 * th.theta_2r / params.eta,
-               params.sigma2 * (th.theta_r2 - 1.0) + base))
-    (k1, b1), (k2, b2) = coeffs
+    k1 = params.sigma2 * th.theta_1r / params.eta
+    k2 = params.sigma2 * th.theta_2r / params.eta
+    b1 = params.sigma2 * (th.theta_r1 - 1.0) + base
+    b2 = params.sigma2 * (th.theta_r2 - 1.0) + base
     n1, a, c = basis.n1, basis.a, basis.c
 
-    def power(psi):  # scalar twin of _frontier_powers
+    def power(psi):
         cos, sin = math.cos(psi), math.sin(psi)
         x1 = (n1 * cos) ** 2
         x2 = (a * cos + c * sin) ** 2
         if x1 <= GAIN_FLOOR or x2 <= GAIN_FLOOR:
             return math.inf
-        return frontier_crossing(basis, k1 / x1 + b1, k2 / x2 + b2)[1]
+        return frontier_crossing(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2),
+                                 (0.0, 0.0))[1]
 
     psi = np.linspace(0.0, basis.psi_max, GRID_POINTS)
-    j = int(np.argmin(_frontier_powers(basis, coeffs, psi)))
+    cos, sin = np.cos(psi), np.sin(psi)
+    x1 = (n1 * cos) ** 2
+    x2 = (a * cos + c * sin) ** 2
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        _, grid = frontier_crossings(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2),
+                                     (0.0, 0.0))
+    j = int(np.argmin(np.where((x1 > GAIN_FLOOR) & (x2 > GAIN_FLOOR),
+                               grid, math.inf)))
     best = (float(psi[j]), power(float(psi[j])))
     lo, hi = psi[max(j - 1, 0)], psi[min(j + 1, GRID_POINTS - 1)]
     best = min(best, _golden_section(power, float(lo), float(hi), ANGLE_TOL),

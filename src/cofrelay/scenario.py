@@ -83,6 +83,10 @@ class ScenarioConfig:
                                   f"got {getattr(self, name)!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter!r}")
+        if self.rel_tol < 0:
+            raise ConfigError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
         if self.axis not in ("none", "snr", "pc"):
             raise ConfigError(f"axis must be none, snr or pc, got {self.axis!r}")
         if self.equal_gain not in ("phased", "unphased"):

@@ -4,7 +4,11 @@ import pytest
 from cofrelay import design, numerics, sdp
 from cofrelay.errors import (BracketError, DegenerateChannelError,
                              InfeasibleError)
-from cofrelay.scenario import ChannelRealization, gen_channel, trial_seed
+from cofrelay.harness import axis_points
+from cofrelay.optimizer import equal_gain_vector
+from cofrelay.scenario import (ChannelRealization, fig2_preset, fig3_preset,
+                               gen_channel, trial_seed, units_from_config,
+                               with_overrides)
 
 # the analytic desk scenarios used throughout
 SCALAR = design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
@@ -232,6 +236,121 @@ class TestRankOneExtract:
         assert ratio == pytest.approx(1.0)
 
 
+def crossing_terms(basis, rho, mu, phi):
+    """T_i(phi) = rho_i/x_i(phi) + mu_i from the angle form of the frontier
+    gains, x1 = n1^2 cos^2 phi and x2 = (A cos phi + C sin phi)^2."""
+    cos, sin = np.cos(phi), np.sin(phi)
+    with np.errstate(divide="ignore"):
+        return (rho[0] / (basis.n1 * cos) ** 2 + mu[0],
+                rho[1] / (basis.a * cos + basis.c * sin) ** 2 + mu[1])
+
+
+def dense_level_bounds(basis, rho, mu, points=20001):
+    """(lower, upper) bounds on min over phi of max(T1, T2) from a dense
+    angle grid: T1 rises and T2 falls, so on a cell [phi_k, phi_k+1] the
+    maximum is at least max(T1(phi_k), T2(phi_k+1))."""
+    t1, t2 = crossing_terms(basis, rho, mu,
+                            np.linspace(0.0, basis.psi_max, points))
+    if basis.psi_max == 0.0:
+        return max(t1[0], t2[0]), max(t1[0], t2[0])
+    return (float(np.min(np.maximum(t1[:-1], t2[1:]))),
+            float(np.min(np.maximum(t1, t2))))
+
+
+def crossing_channels():
+    h1 = rand_channel(40).h1
+    return {"random": rand_channel(41),
+            "orthogonal": ORTH_CH,
+            "collinear": ChannelRealization(h1=h1, h2=(0.3 - 0.7j) * h1, seed=0),
+            "n1": rand_channel(42, n=1)}
+
+
+class TestFrontierCrossing:
+    def test_closed_form_without_mu(self):
+        # mu = 0: the crossing is P* of `solve_beamformer` inside the
+        # frontier and the better endpoint outside it
+        rng = np.random.default_rng(17)
+        seen = set()
+        for t in range(40):
+            b = design.frontier_basis(rand_channel(t).h1, rand_channel(t).h2)
+            n1, a, c = b.n1, b.a, b.c
+            n2sq = a * a + c * c
+            for _ in range(10):
+                a1, a2 = 10.0 ** rng.uniform(-2, 2, 2)
+                tan_phi, level = design.frontier_crossing(n1, a, c, (a1, a2),
+                                                          (0.0, 0.0))
+                r = np.sqrt(a2 / a1)
+                if n1 * r <= a:
+                    seen.add("lo")
+                    assert tan_phi == 0.0
+                    assert level == pytest.approx(max(a1 / n1 ** 2, a2 / a ** 2),
+                                                  rel=1e-12)
+                elif n1 * a * r >= n2sq:
+                    seen.add("hi")
+                    assert tan_phi == pytest.approx(c / a, rel=1e-15)
+                    assert level == pytest.approx(
+                        max(a1 * n2sq / (n1 * a) ** 2, a2 / n2sq), rel=1e-12)
+                else:
+                    seen.add("interior")
+                    p_star = ((n2sq * a1 + n1 ** 2 * a2
+                               - 2.0 * n1 * a * np.sqrt(a1 * a2))
+                              / (n1 ** 2 * c ** 2))
+                    assert level == pytest.approx(p_star, rel=1e-12)
+        assert seen == {"lo", "hi", "interior"}
+
+    @pytest.mark.parametrize("kind", sorted(crossing_channels()))
+    def test_optimal_with_mu(self, kind):
+        ch = crossing_channels()[kind]
+        b = design.frontier_basis(ch.h1, ch.h2)
+        rng = np.random.default_rng(18)
+        roots = set()  # sign of d = (mu1 - mu2) n1^2 at the interior roots
+        for _ in range(150):
+            rho = tuple(10.0 ** rng.uniform(-1.0, 1.0, 2))
+            mu = tuple(10.0 ** rng.uniform(-1.5, 0.5, 2))
+            tan_phi, level = design.frontier_crossing(b.n1, b.a, b.c, rho, mu)
+            phi = np.arctan(tan_phi)
+            t1, t2 = crossing_terms(b, rho, mu, phi)
+            assert level == pytest.approx(max(t1, t2), rel=1e-12)
+            if 0.0 < phi < b.psi_max:
+                roots.add(np.sign(mu[0] - mu[1]))
+                assert t1 == pytest.approx(t2, rel=1e-12)
+            lower, upper = dense_level_bounds(b, rho, mu)
+            assert level >= lower * (1.0 - 1e-12)
+            assert level <= upper * (1.0 + 1e-12)
+        if b.c > 0.0:
+            assert roots == {-1.0, 1.0}
+
+    @pytest.mark.parametrize("equal_gain", (True, False),
+                             ids=("phased", "unphased"))
+    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
+                             ids=("fig2", "fig3"))
+    def test_array_twin_matches_scalar(self, preset, equal_gain):
+        # the scheme-3 combiner inputs and the mu = 0 beamformer inputs at
+        # the equal-gain combiner, one element per (axis point, trial)
+        cfg = preset(master_seed=1234)
+        bases, comb, beam = [], [], []
+        for snr_db, pc_dbm in axis_points(cfg):
+            par = units_from_config(with_overrides(
+                cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none", axis_values=()))
+            for t in range(cfg.trials):
+                ch = gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                w = equal_gain_vector(ch, phased=equal_gain)
+                bases.append(design.frontier_basis(ch.h1, ch.h2))
+                comb.append(design.combiner_coefficients(w, ch, par))
+                beam.append((design.constraint_rhs(par, w, ch), (0.0, 0.0)))
+        n1, a, c = (np.array([getattr(b, k) for b in bases])
+                    for k in ("n1", "a", "c"))
+        for inputs in (comb, beam):
+            rho = np.array([x[0] for x in inputs]).T
+            mu = np.array([x[1] for x in inputs]).T
+            tan_phi, level = design.frontier_crossings(n1, a, c, rho, mu)
+            for k, (b, (r, m)) in enumerate(zip(bases, inputs)):
+                ref = design.frontier_crossing(b.n1, b.a, b.c, r, m)
+                assert tan_phi[k] == ref[0]
+                # Python's float ** 2 is C pow, numpy's is x * x
+                assert level[k] == pytest.approx(ref[1], rel=1e-15)
+
+
 class TestCombiner:
     def test_n1_point_set(self):
         res = design.min_level_combiner([np.array([1.0 + 0j]), np.array([1.0 + 0j])],
@@ -259,6 +378,8 @@ class TestCombiner:
         gain = design.uplink_gain(res.g, h1)
         assert gain == pytest.approx(np.linalg.norm(h1) ** 2, rel=1e-12)
         assert res.p_r_implied == pytest.approx(3.0 / gain + 1.0, rel=1e-12)
+        with pytest.raises(ValueError):  # rho_1 = 0: no rising term
+            design.min_level_combiner([h1, h1[::-1]], [0.0, 3.0], [1.0, 1.0])
 
     def test_probe_optimality(self):
         rng = np.random.default_rng(11)
@@ -275,7 +396,7 @@ class TestCombiner:
     def test_methods_agree(self):
         # At FIG2's circuit power one user's mu dominates and the optimum is
         # a matched filter; without circuit power the two terms cross inside
-        # the frontier, which exercises the angle bisection.
+        # the frontier, which exercises the crossing's Newton iteration.
         low_pc = design.SystemParams(N=4, eta=1.0, p_c=0.0, sigma2=1.0,
                                      r1_bar=0.5, r2_bar=0.5)
         rng = np.random.default_rng(12)
@@ -492,10 +613,6 @@ class TestRates:
 
 
 class TestParams:
-    def test_splitter_noise_default(self):
-        assert FIG2.sigma2_a == 0.0
-        assert FIG2.sigma2_p == FIG2.sigma2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             design.SystemParams(N=0, eta=1.0, p_c=0.0, sigma2=1.0,
@@ -509,6 +626,3 @@ class TestParams:
         with pytest.raises(ValueError):
             design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
                                 r1_bar=-1.0, r2_bar=1.0)
-        with pytest.raises(ValueError):
-            design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
-                                r1_bar=1.0, r2_bar=1.0, sigma2_a=0.6, sigma2_p=0.6)

@@ -467,7 +467,13 @@ class TestCli:
                         ["--seed", "-1"]]
         for argv in ([["oracle-check", "--resolution", "16"],
                       ["oracle-check", "--n", "4"],
-                      ["oracle-check", "--channels", "0"]]
+                      ["oracle-check", "--channels", "0"],
+                      ["oracle-check", "--max-iter", "0"],
+                      ["oracle-check", "--rel-tol", "-1"],
+                      ["solve", "--trial", "-1"],
+                      ["lattice-demo", "--seed", "-1"],
+                      ["lattice-demo", "--dim", "0"],
+                      ["lattice-demo", "--sigma2", "-1"]]
                      + [[cmd] + flags for cmd in ("sweep", "solve")
                         for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE

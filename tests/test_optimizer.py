@@ -187,8 +187,7 @@ class TestSchemes:
                 p = optimizer.run_scheme(scheme, ch, par).design.p_r
                 for c in (1e-3, 2.0, 1e3):
                     scaled = dataclasses.replace(
-                        par, p_c=c * par.p_c, sigma2=c * par.sigma2,
-                        sigma2_a=c * par.sigma2_a, sigma2_p=c * par.sigma2_p)
+                        par, p_c=c * par.p_c, sigma2=c * par.sigma2)
                     got = optimizer.run_scheme(scheme, ch, scaled).design.p_r
                     assert got == pytest.approx(c * p, rel=1e-12)
 

@@ -93,9 +93,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("eta", 0.0), ("eta", 2.0), ("eta", -0.5), ("r1_bar", -1.0),
-        ("r2_bar", 0.0), ("master_seed", -1)])
+        ("r2_bar", 0.0), ("master_seed", -1), ("max_iter", 0),
+        ("rel_tol", -1e-3)])
     def test_out_of_range_rejected(self, key, value):
-        # SystemParams and SeedSequence would raise a bare ValueError later
+        # SystemParams and SeedSequence would raise a bare ValueError later,
+        # and max_iter = 0 would leave the alternation without a design
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(**{key: value})
         with pytest.raises(ConfigError):
