@@ -16,14 +16,14 @@ primitives. See the README for the CLI.
 """
 
 from .design import (RateReport, SystemParams, TransceiverDesign,
-                     complete_design, constraint_rhs, rank_one_extract,
-                     recover_beta, required_power, solve_beamformer,
-                     solve_combiner, verify_rates)
+                     check_rates, complete_design, constraint_rhs,
+                     rank_one_extract, recover_beta, required_power,
+                     solve_beamformer, solve_combiner, verify_rates)
 from .errors import (BracketError, CofRelayError, ConfigError,
                      DegenerateChannelError, DimensionError, InfeasibleError,
                      NestingError, SolverFailureError, UnboundedError)
-from .harness import (SweepSummary, TrialRecord, lattice_demo, oracle_grid,
-                      run_sweep)
+from .harness import (RecordTable, SweepSummary, TrialRecord, lattice_demo,
+                      oracle_grid, run_sweep)
 from .lattice import (CodebookEntry, Lattice, NestedChain, cof_roundtrip,
                       enumerate_codebook, mmse_alpha, mod_lattice, quantize,
                       second_moment)
@@ -41,10 +41,10 @@ __all__ = [
     "AlternationTrace", "BracketError", "ChannelRealization", "CodebookEntry",
     "CofRelayError", "ConfigError", "DegenerateChannelError", "DimensionError",
     "InfeasibleError", "Lattice", "NestedChain", "NestingError", "RateReport",
-    "ScenarioConfig", "SchemeId", "SdpInstance", "SdpSolution",
+    "RecordTable", "ScenarioConfig", "SchemeId", "SdpInstance", "SdpSolution",
     "SolverFailureError", "SweepSummary", "SystemParams", "TransceiverDesign",
-    "TrialRecord", "UnboundedError", "alternate", "cof_roundtrip",
-    "complete_design", "constraint_rhs", "eig_hermitian", "enumerate_codebook",
+    "TrialRecord", "UnboundedError", "alternate", "check_rates",
+    "cof_roundtrip", "complete_design", "constraint_rhs", "eig_hermitian", "enumerate_codebook",
     "equal_gain_vector", "fig2_preset", "fig3_preset", "gen_channel",
     "lattice_demo", "mmse_alpha", "mod_lattice", "oracle_grid", "parse_config",
     "quantize", "rank_one_extract", "real_embed", "recover_beta",

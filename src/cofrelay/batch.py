@@ -1,11 +1,11 @@
 """The compared schemes over many channels and operating points in one pass.
 
 `solve` is the array twin of `optimizer.run_scheme` followed by
-`design.verify_rates`. The T channel draws are one (T, 2, N) array, the
-P operating points are (P, 1) columns of sigma2 and P_c, and every
-per-record quantity is a (P, T) array. Each step repeats the float
-operations of its scalar original in the same order, and the parity tests
-bound what rounding leaves between the two paths. Every check of the
+`design.verify_rates` and `design.check_rates`. The T channel draws are
+one (T, 2, N) array, the P operating points are (P, 1) columns of sigma2
+and P_c, and every per-record quantity is a (P, T) array. Each step
+repeats the float operations of its scalar original in the same order,
+and the parity tests bound what rounding leaves between the two paths. Every check of the
 scalar path is an array mask with the same threshold; a record that fails
 one carries the error class the scalar path would raise as its status.
 
@@ -25,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import (BETA_SLACK, COLLINEAR_TOL, GAIN_FLOOR, UNIT_NORM_TOL,
-                     FrontierBasis, frontier_crossings, rate_thresholds)
+from .design import (BETA_SLACK, COLLINEAR_TOL, GAIN_FLOOR, MARGIN_SLACK,
+                     UNIT_NORM_TOL, FrontierBasis, frontier_crossings,
+                     rate_thresholds)
 from .errors import DegenerateChannelError, InfeasibleError
 from .optimizer import SchemeId, joint_angle
 
@@ -235,8 +236,9 @@ def _combiner(batch: ChannelBatch, pts: OperatingPoints, board, down):
 
 
 def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
-    """`required_power`, `complete_design` and `verify_rates` per record,
-    from the (2, P, T) gains of (f, g) and constraint right-hand sides."""
+    """`required_power`, `complete_design`, `verify_rates` and
+    `check_rates` per record, from the (2, P, T) gains of (f, g) and
+    constraint right-hand sides."""
     board.floor(up, down)
     eta, sigma2 = pts.eta, pts.sigma2
     ratio = rhs / down
@@ -261,6 +263,8 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
                                           + s / sigma2))
     r_down = 0.5 * np.log2(1.0 + beta * p_r * down / sigma2)
     margins = np.concatenate([r_up, r_down]) - pts.targets
+    # `design.check_rates`
+    board.fail((margins < -MARGIN_SLACK).any(axis=0), InfeasibleError)
 
     if not board.ok.all():
         bad = ~board.ok
@@ -290,8 +294,9 @@ def _joint_angles(batch: ChannelBatch, pts: OperatingPoints, board):
 
 def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
           equal_gain_phased: bool = True) -> BatchResult:
-    """`optimizer.run_scheme` and `design.verify_rates` for every channel of
-    ``batch`` at every one of the P ``points``; the records are (P, T)."""
+    """`optimizer.run_scheme`, `design.verify_rates` and `check_rates` for
+    every channel of ``batch`` at every one of the P ``points``; the
+    records are (P, T)."""
     scheme = SchemeId(scheme)
     board = _Board((len(points), len(batch.channels)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -8,13 +8,14 @@ and ``lattice-demo``. Flags override config-file keys. Exit codes: 0 ok,
 """
 
 import argparse
+import functools
 import os
 import sys
 
 import numpy as np
 
 from . import harness, scenario
-from .design import verify_rates
+from .design import check_rates, verify_rates
 from .errors import CofRelayError, ConfigError
 from .optimizer import alternate, run_scheme
 from .scenario import (ScenarioConfig, fig2_preset, fig3_preset, gen_channel,
@@ -81,7 +82,10 @@ def _build_config(args, preset=None) -> ScenarioConfig:
     return with_overrides(cfg, **overrides)
 
 
+@functools.cache
 def _make_parser() -> _Parser:
+    """The command-line parser, built on the first call of `main` and then
+    reused: `parse_args` keeps no state between calls."""
     parser = _Parser(prog="cofrelay",
                      description="Minimum relay transmit power with lattice "
                                  "compute-and-forward and power splitting")
@@ -128,7 +132,7 @@ def _cmd_solve(args) -> int:
     result = run_scheme(args.scheme, ch, params,
                         equal_gain_phased=(cfg.equal_gain == "phased"))
     d = result.design
-    report = verify_rates(d, ch, params)
+    report = check_rates(verify_rates(d, ch, params))
     print(f"scheme {args.scheme}, trial {args.trial}, seed {ch.seed}")
     print(f"P_r = {d.p_r:.9g} ({scenario.db_from_power(d.p_r):.4f} dB), "
           f"iterations = {result.iterations}")

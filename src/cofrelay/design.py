@@ -28,6 +28,7 @@ GAIN_FLOOR = 1e-30
 COLLINEAR_TOL = 1e-12   # relative residual below which h2 is collinear with h1
 NEWTON_MAX = 32         # step cap of the frontier crossing's Newton iteration
 BETA_SLACK = 1e-9       # how far a splitting ratio may leave [0, 1] by rounding
+MARGIN_SLACK = 1e-6     # how far a verified rate may fall short of its target
 UNIT_NORM_TOL = 1e-10
 
 
@@ -275,41 +276,52 @@ def frontier_crossings(n1, a, c, rho, mu):
     together: the same float operations, so tan phi is the scalar result
     bit for bit. The level can differ in its last bit, as Python's float
     ``** 2`` is C ``pow`` and numpy's is x * x.
+
+    Collinear (C = 0) and orthogonal (A = 0) channels divide by zero on the
+    way, so call it under np.errstate with divide, invalid and over
+    ignored, as `batch.solve` and `optimizer.joint_angle` do.
     """
     (r1, r2), (m1, m2) = rho, mu
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inside = c > 0.0
-        # c / a is inf for a = 0, where the scalar rule skips the cap
-        t = np.minimum(np.maximum((n1 * np.sqrt(r2 / r1) - a) / c, 0.0),
-                       np.divide(c, a))
-        general = inside & (m1 != m2)
-        if np.count_nonzero(general):
-            al1, al2 = r1 / (n1 * n1), r2 / (a * a + c * c)
-            swap = al2 + m2 > al1 + m1
-            p, q = np.where(swap, al2, al1), np.where(swap, al1, al2)
-            delta = np.abs((al1 + m1) - (al2 + m2))
-            sq, sd = np.sqrt(q), np.sqrt(delta)
-            active = general & (a * sd < sq * c)
-            b = a * (np.sqrt(p) + sq)
-            x = 2.0 * sq * c / (b + np.sqrt(b * b + 4.0 * c * c
-                                            * np.sqrt(p * q)))
-            den = c * sd + a * sq
-            x = np.where(den > 0.0, np.minimum(x, (sq * c - a * sd) / den), x)
-            x = np.where(active, x, 0.0)
-            for _ in range(NEWTON_MAX):
-                if not np.count_nonzero(active):
-                    break
-                w = np.sqrt(delta + p * x * x)
-                step = (((a + c * x) * w - sq * (c - a * x))
-                        / (c * w + (a + c * x) * p * x / w + a * sq))
-                active &= (0.0 < x - step) & (x - step < x)
-                x = np.where(active, x - step, x)
-            t = np.where(general, np.where(swap, (c - a * x) / (a + c * x), x), t)
+    inside = c > 0.0
+    # c / a is inf for a = 0, where the scalar rule skips the cap
+    t = np.minimum(np.maximum((n1 * np.sqrt(r2 / r1) - a) / c, 0.0),
+                   np.divide(c, a))
+    unequal = m1 != m2
+    general = inside & unequal
+    if np.count_nonzero(general):
+        al1, al2 = r1 / (n1 * n1), r2 / (a * a + c * c)
+        swap = al2 + m2 > al1 + m1
+        p, q = np.where(swap, al2, al1), np.where(swap, al1, al2)
+        delta = np.abs((al1 + m1) - (al2 + m2))
+        sq, sd = np.sqrt(q), np.sqrt(delta)
+        active = general & (a * sd < sq * c)
+        b = a * (np.sqrt(p) + sq)
+        x = 2.0 * sq * c / (b + np.sqrt(b * b + 4.0 * c * c
+                                        * np.sqrt(p * q)))
+        den = c * sd + a * sq
+        x = np.where(den > 0.0, np.minimum(x, (sq * c - a * sd) / den), x)
+        x = np.where(active, x, 0.0)
+        for _ in range(NEWTON_MAX):
+            if not np.count_nonzero(active):
+                break
+            w = np.sqrt(delta + p * x * x)
+            step = (((a + c * x) * w - sq * (c - a * x))
+                    / (c * w + (a + c * x) * p * x / w + a * sq))
+            active &= (0.0 < x - step) & (x - step < x)
+            x = np.where(active, x - step, x)
+        t = np.where(general, np.where(swap, (c - a * x) / (a + c * x), x), t)
+    if isinstance(inside, np.ndarray):
         t = np.where(inside, t, 0.0)
-        s = 1.0 + t * t
-        level = np.maximum(s * (r1 / (n1 * n1)) + m1,
-                           s * (r2 / (a + c * t) ** 2) + m2)
-    return t, level
+    elif not inside:  # a scalar frontier, as in `optimizer.joint_angle`
+        t = np.zeros_like(t)
+    s = 1.0 + t * t
+    x1, x2 = r1 / (n1 * n1), r2 / (a + c * t) ** 2
+    if np.count_nonzero(unequal):
+        return t, np.maximum(s * x1 + m1, s * x2 + m2)
+    # mu1 = mu2 everywhere: rounding s * x and x + mu1 is monotone in x
+    # for s > 0, so this is the two-term max above bit for bit, in two
+    # fewer array passes
+    return t, s * np.maximum(x1, x2) + m1
 
 
 def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
@@ -508,7 +520,8 @@ def verify_rates(design: TransceiverDesign, channel, params: SystemParams) -> Ra
 
     Uplink: R_{i,r} = 1/2 [log2(gamma_i + P_i |g h_i|^2 / sigma^2)]^+.
     Downlink: R_{r,i} = 1/2 log2(1 + beta_i P_r |h_i^T f|^2 / sigma^2).
-    Negative margins are reported, never raised.
+    Negative margins are reported, never raised; `check_rates` fails a
+    report whose rates miss their targets.
     """
     g_gain = [uplink_gain(design.g, channel.h1), uplink_gain(design.g, channel.h2)]
     h_gain = [downlink_gain(design.f, channel.h1), downlink_gain(design.f, channel.h2)]
@@ -529,3 +542,17 @@ def verify_rates(design: TransceiverDesign, channel, params: SystemParams) -> Ra
                r_down[0] - targets[1], r_down[1] - targets[0])
     return RateReport(r_up=tuple(r_up), r_down=tuple(r_down),
                       margins=margins, alpha=alpha, gamma=gamma)
+
+
+def check_rates(report: RateReport) -> RateReport:
+    """``report``, or InfeasibleError if a margin is below -MARGIN_SLACK.
+
+    At the required power the binding margins are 0 up to rounding and the
+    others positive. At extreme SNR (about 150 dB at P_c = 10 dB) the
+    uplink power eta (1 - beta) P_r |h_i^T f|^2 - 2 P_c cancels to 0 in
+    floating point, and the targets are missed by whole bits although
+    every check before this one passed.
+    """
+    if any(m < -MARGIN_SLACK for m in report.margins):
+        raise InfeasibleError(f"rate targets missed: margins {report.margins}")
+    return report

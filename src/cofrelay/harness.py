@@ -2,19 +2,28 @@
 
 A sweep draws one channel per trial from per-trial seed streams and solves
 each scheme in one array pass over every (axis point, trial) pair
-(`batch.solve`); records are then sorted by axis point, scheme and trial.
-So reruns with the same master seed reproduce byte-identical record CSVs,
-and aggregation is independent of execution order.
+(`batch.solve`). The records stay in columns from there to the file: a
+`RecordTable` holds one array per CSV column, in the order (snr_db,
+pc_dbm, scheme, trial) given by one stable `np.lexsort`, so duplicate axis
+values keep their order. `records_csv` formats the whole table in one
+printf pass, `summarize` reduces the trial axis of each (scheme, axis
+point) bucket with one numpy call per bucket size, and `failure_fraction`
+reads the status column. Indexing or iterating a table gives
+`TrialRecord` row views, for tests and API callers; the sweep path builds
+none. Reruns with the same master seed reproduce byte-identical record
+CSVs, and aggregation is independent of row order.
 """
 
 from dataclasses import dataclass
 import io
+from itertools import chain
 import math
 
 import numpy as np
 
 from . import batch, lattice
-from .design import SystemParams, rate_thresholds
+# re-exported: no record with status ok has a margin below -MARGIN_SLACK
+from .design import MARGIN_SLACK, SystemParams, rate_thresholds  # noqa: F401
 from .errors import ConfigError, DegenerateChannelError, DimensionError
 from .scenario import (ScenarioConfig, db_from_power, gen_channel, trial_seed,
                        units_from_config, with_overrides)
@@ -24,12 +33,17 @@ RECORD_COLUMNS = ("scheme", "snr_db", "pc_dbm", "trial", "seed", "p_r_db",
                   "margin_down1", "margin_down2", "status")
 SUMMARY_COLUMNS = ("scheme", "snr_db", "pc_dbm", "mean_p_r_db", "stderr_p_r_db",
                    "trials", "failures")
-
-MARGIN_SLACK = 1e-6
+# one records.csv row as a printf template: integers in full, floats to 9
+# significant digits ("%.9g" is the conversion of format(x, ".9g"), so NaN
+# prints as "nan" and -0.0 as "-0")
+_ROW_FORMAT = ",".join(
+    "%d" if c in ("scheme", "trial", "seed", "iterations")
+    else "%s" if c == "status" else "%.9g" for c in RECORD_COLUMNS) + "\n"
 
 
 @dataclass
 class TrialRecord:
+    """One row of a `RecordTable`."""
     scheme: int
     snr_db: float
     pc_dbm: float
@@ -48,6 +62,32 @@ class TrialRecord:
     def margins(self):
         return (self.margin_up1, self.margin_up2,
                 self.margin_down1, self.margin_down2)
+
+
+class RecordTable:
+    """Trial records as columns: ``columns`` maps each RECORD_COLUMNS name
+    to an array, all of one length. Failed records carry NaN values and a
+    "failed:<error class>" status. Indexing and iteration give
+    `TrialRecord` rows of Python values."""
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __len__(self):
+        return len(self.columns["status"])
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        return TrialRecord(*(self.columns[c][i:i + 1].tolist()[0]
+                             for c in RECORD_COLUMNS))
+
+    def __iter__(self):
+        rows = zip(*(self.columns[c].tolist() for c in RECORD_COLUMNS))
+        return (TrialRecord(*row) for row in rows)
+
+    def take(self, index):
+        """The rows at ``index`` (an index array or a boolean mask)."""
+        return RecordTable({c: v[index] for c, v in self.columns.items()})
 
 
 @dataclass
@@ -79,79 +119,103 @@ def axis_points(cfg: ScenarioConfig):
 
 
 def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
-              channels=None):
-    """All trial records for one operating point (every configured scheme),
-    scheme by scheme and trial by trial: the batched pass of `run_sweep`
-    at a single point."""
+              channels=None) -> RecordTable:
+    """The records of one operating point (every configured scheme), by
+    scheme and trial: the batched pass of `run_sweep` at a single point."""
     if channels is None:
         channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                     for t in range(cfg.trials)]
     return _run_batch(cfg, [(snr_db, pc_dbm)], channels)
 
 
-def _run_batch(cfg: ScenarioConfig, points, channels):
-    """Trial records of every configured scheme at every (snr_db, pc_dbm)
-    point, one `batch.solve` pass per scheme over all (point, trial) pairs.
-    Records come scheme by scheme, then point by point, then trial by
-    trial; failed records carry NaN values and iterations 0."""
+def _run_batch(cfg: ScenarioConfig, points, channels) -> RecordTable:
+    """The records of every configured scheme at every (snr_db, pc_dbm)
+    point, one `batch.solve` pass per scheme over all (point, trial) pairs,
+    sorted by point, scheme and trial. Iterations are 0."""
     params = batch.OperatingPoints(
         units_from_config(with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm,
                                          axis="none", axis_values=()))
         for snr_db, pc_dbm in points)
     chans = batch.ChannelBatch(channels)
     phased = cfg.equal_gain == "phased"
-    nan = float("nan")
-    records = []
-    for scheme in sorted(cfg.schemes):
-        res = batch.solve(scheme, chans, params, equal_gain_phased=phased)
-        p_r, status = res.p_r.tolist(), res.status.tolist()
-        beta1, beta2 = (b.tolist() for b in res.beta)
-        up1, up2, down1, down2 = (m.tolist() for m in res.margins)
-        for p, (snr_db, pc_dbm) in enumerate(points):
-            for t, ch in enumerate(chans.channels):
-                ok = status[p][t] == "ok"
-                records.append(TrialRecord(
-                    scheme=scheme, snr_db=snr_db, pc_dbm=pc_dbm, trial=t,
-                    seed=ch.seed, p_r_db=db_from_power(p_r[p][t]) if ok else nan,
-                    iterations=0, beta1=beta1[p][t], beta2=beta2[p][t],
-                    margin_up1=up1[p][t], margin_up2=up2[p][t],
-                    margin_down1=down1[p][t], margin_down2=down2[p][t],
-                    status=status[p][t]))
-    return records
+    schemes = sorted(cfg.schemes)
+    results = [batch.solve(scheme, chans, params, equal_gain_phased=phased)
+               for scheme in schemes]
+    # (scheme, point, trial) order, flattened
+    n_s, n_p, n_t = len(schemes), len(points), len(chans.channels)
+    status = np.concatenate([r.status.ravel() for r in results])
+    p_r = np.concatenate([r.p_r.ravel() for r in results])
+    beta = np.concatenate([r.beta.reshape(2, -1) for r in results], axis=1)
+    margins = np.concatenate([r.margins.reshape(4, -1) for r in results],
+                             axis=1)
+    ok = status == "ok"
+    p_r_db = np.full(len(status), np.nan)
+    # math.log10 per record: np.log10 can differ in the last bit
+    p_r_db[ok] = [db_from_power(p) for p in p_r[ok].tolist()]
+    snr_db, pc_dbm = (np.repeat(np.array(v, dtype=float), n_t)
+                      for v in zip(*points))
+    seeds = np.array([ch.seed for ch in chans.channels], dtype=object)
+    columns = {
+        "scheme": np.repeat(schemes, n_p * n_t),
+        "snr_db": np.tile(snr_db, n_s),
+        "pc_dbm": np.tile(pc_dbm, n_s),
+        "trial": np.tile(np.arange(n_t), n_s * n_p),
+        "seed": np.tile(seeds, n_s * n_p),
+        "p_r_db": p_r_db,
+        "iterations": np.zeros(len(status), dtype=int),
+        "beta1": beta[0], "beta2": beta[1],
+        "margin_up1": margins[0], "margin_up2": margins[1],
+        "margin_down1": margins[2], "margin_down2": margins[3],
+        "status": status,
+    }
+    order = np.lexsort((columns["trial"], columns["scheme"],
+                        columns["pc_dbm"], columns["snr_db"]))
+    return RecordTable(columns).take(order)
 
 
-def summarize(records) -> list:
+def summarize(records: RecordTable) -> list:
     """Per (scheme, axis point) mean dB power, standard error and counts.
 
-    Records are bucketed by key and reduced in sorted order, so the result
-    does not depend on the order trials completed in.
+    Rows are sorted by (scheme, snr_db, pc_dbm, trial) first, so the result
+    does not depend on their order. The ok values of a bucket are then one
+    contiguous run, and the buckets with k ok values are reduced as one
+    (buckets, k) array along its contiguous axis: np.mean and np.std give
+    each row the bits of a call on that row alone.
     """
-    buckets = {}
-    for r in records:
-        buckets.setdefault((r.scheme, r.snr_db, r.pc_dbm), []).append(r)
-    out = []
-    for key in sorted(buckets):
-        rows = sorted(buckets[key], key=lambda r: r.trial)
-        vals = np.asarray([r.p_r_db for r in rows if r.status == "ok"])
-        failures = sum(1 for r in rows if r.status != "ok")
-        if len(vals):
-            mean = float(np.mean(vals))
-            stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
-                if len(vals) > 1 else 0.0
-        else:
-            mean, stderr = float("nan"), float("nan")
-        out.append(SweepSummary(scheme=key[0], snr_db=key[1], pc_dbm=key[2],
-                                mean_p_r_db=mean, stderr_p_r_db=stderr,
-                                trials=len(vals), failures=failures))
-    return out
+    cols = records.columns
+    order = np.lexsort((cols["trial"], cols["pc_dbm"], cols["snr_db"],
+                        cols["scheme"]))
+    keys = [cols[c][order] for c in ("scheme", "snr_db", "pc_dbm")]
+    ok = cols["status"][order] == "ok"
+    vals = cols["p_r_db"][order][ok]
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(order)))
+    counts = np.add.reduceat(ok, starts)
+    first = np.cumsum(counts) - counts   # where each bucket's ok run starts
+    mean = np.full(len(starts), np.nan)
+    stderr = np.full(len(starts), np.nan)
+    for n_ok in set(counts.tolist()) - {0}:
+        sel = np.flatnonzero(counts == n_ok)
+        rows = vals[first[sel, None] + np.arange(n_ok)]
+        mean[sel] = np.mean(rows, axis=1)
+        stderr[sel] = (np.std(rows, axis=1, ddof=1) / math.sqrt(n_ok)
+                       if n_ok > 1 else 0.0)
+    fields = ([k[starts].tolist() for k in keys]
+              + [mean.tolist(), stderr.tolist(), counts.tolist(),
+                 (sizes - counts).tolist()])
+    return [SweepSummary(*row) for row in zip(*fields)]
 
 
-def records_csv(records) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(RECORD_COLUMNS) + "\n")
-    for r in records:
-        buf.write(",".join(_fmt(getattr(r, c)) for c in RECORD_COLUMNS) + "\n")
-    return buf.getvalue()
+def records_csv(records: RecordTable) -> str:
+    """The records.csv text, formatted from the columns in one printf pass
+    over the whole table, row by row."""
+    cells = zip(*(records.columns[c].tolist() for c in RECORD_COLUMNS))
+    return (",".join(RECORD_COLUMNS) + "\n"
+            + _ROW_FORMAT * len(records) % tuple(chain.from_iterable(cells)))
 
 
 def summary_csv(summaries) -> str:
@@ -167,13 +231,13 @@ def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
 
     The channels are drawn once and shared by every axis point; each scheme
     is one `batch.solve` pass over all (axis point, trial) pairs. Returns
-    (records, summaries). Per-trial failures are recorded with a failed
-    status and excluded from the means; they never abort the sweep.
+    (records, summaries): a `RecordTable` and a list of `SweepSummary`.
+    Per-trial failures are recorded with a failed status and excluded from
+    the means; they never abort the sweep.
     """
     channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                 for t in range(cfg.trials)]
     records = _run_batch(cfg, axis_points(cfg), channels)
-    records.sort(key=lambda r: (r.snr_db, r.pc_dbm, r.scheme, r.trial))
     summaries = summarize(records)
     if records_path is not None:
         with open(records_path, "w") as fh:
@@ -184,10 +248,10 @@ def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
     return records, summaries
 
 
-def failure_fraction(records) -> float:
-    if not records:
+def failure_fraction(records: RecordTable) -> float:
+    if not len(records):
         return 0.0
-    return sum(1 for r in records if r.status != "ok") / len(records)
+    return np.count_nonzero(records.columns["status"] != "ok") / len(records)
 
 
 def pareto_front(x, y) -> np.ndarray:

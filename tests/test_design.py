@@ -350,6 +350,24 @@ class TestFrontierCrossing:
                 # Python's float ** 2 is C pow, numpy's is x * x
                 assert level[k] == pytest.approx(ref[1], rel=1e-15)
 
+    def test_equal_mu_level_is_two_term_max(self):
+        # with mu1 = mu2 the level is s * max(x1, x2) + mu1, which must be
+        # max(s x1 + mu1, s x2 + mu2) bit for bit, collinear and
+        # orthogonal frontiers included
+        rng = np.random.default_rng(31)
+        k = 4000
+        n1, a, c = 10.0 ** rng.uniform(-2.0, 2.0, (3, k))
+        a[::50] = 0.0
+        c[::70] = 0.0
+        rho = 10.0 ** rng.uniform(-3.0, 3.0, (2, k))
+        for mu in (0.0, 10.0 ** rng.uniform(-3.0, 3.0, k)):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                t, level = design.frontier_crossings(n1, a, c, rho, (mu, mu))
+                s = 1.0 + t * t
+                ref = np.maximum(s * (rho[0] / (n1 * n1)) + mu,
+                                 s * (rho[1] / (a + c * t) ** 2) + mu)
+            assert np.array_equal(level, ref, equal_nan=True)
+
 
 class TestCombiner:
     def test_n1_point_set(self):

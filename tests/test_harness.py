@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from cofrelay import batch, cli, harness
-from cofrelay.design import (SystemParams, rate_thresholds, recover_beta,
-                             required_power, verify_rates)
+from cofrelay.design import (SystemParams, check_rates, rate_thresholds,
+                             recover_beta, required_power, verify_rates)
 from cofrelay.errors import (CofRelayError, ConfigError, DimensionError,
                              InfeasibleError, NestingError)
 from cofrelay.optimizer import run_scheme
-from cofrelay.scenario import (ChannelRealization, ScenarioConfig, fig2_preset,
-                               fig3_preset, gen_channel, trial_seed,
-                               units_from_config, with_overrides)
+from cofrelay.scenario import (ChannelRealization, ScenarioConfig,
+                               db_from_power, fig2_preset, fig3_preset,
+                               gen_channel, trial_seed, units_from_config,
+                               with_overrides)
 
 UNIT_CH = ChannelRealization(h1=np.array([1.0 + 0j]),
                              h2=np.array([1.0 + 0j]), seed=0)
@@ -75,11 +76,22 @@ class TestSweep:
     def test_summary_order_independent(self):
         cfg = small_cfg(trials=4, schemes=(1, 2))
         records, summaries = harness.run_sweep(cfg)
-        shuffled = list(records)
         rng = np.random.default_rng(0)
-        rng.shuffle(shuffled)
-        again = harness.summarize(shuffled)
+        again = harness.summarize(records.take(rng.permutation(len(records))))
         assert again == summaries
+
+    def test_row_view(self):
+        cfg = small_cfg(trials=3, schemes=(2, 4), axis="snr",
+                        axis_values=(10.0, 0.0))
+        records, _ = harness.run_sweep(cfg)
+        rows = list(records)
+        assert len(rows) == len(records) == 12
+        assert [records[i] for i in range(-12, 12)] == rows + rows
+        with pytest.raises(IndexError):
+            records[12]
+        assert [(r.snr_db, r.scheme, r.trial) for r in rows[:4]] == [
+            (0.0, 2, 0), (0.0, 2, 1), (0.0, 2, 2), (0.0, 4, 0)]
+        assert {type(v) for v in vars(rows[0]).values()} == {int, float, str}
 
     def test_axis_points(self):
         cfg = small_cfg(axis="snr", axis_values=(0.0, 10.0))
@@ -102,10 +114,10 @@ def _point_params(cfg, snr_db, pc_dbm):
 
 def _scalar_reference(scheme, ch, params, phased):
     """(status, iterations, (p_r, betas, margins) or None) of one record by
-    `run_scheme` and `verify_rates`."""
+    `run_scheme`, `verify_rates` and `check_rates`."""
     try:
         res = run_scheme(scheme, ch, params, equal_gain_phased=phased)
-        report = verify_rates(res.design, ch, params)
+        report = check_rates(verify_rates(res.design, ch, params))
     except CofRelayError as exc:
         return f"failed:{type(exc).__name__}", 0, None
     return "ok", res.iterations, (res.design.p_r, res.design.beta,
@@ -203,6 +215,21 @@ class TestBatchParity:
                         assert res.p_r[p, t] == pytest.approx(ref[0],
                                                               rel=P_R_TOL)
 
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    def test_extreme_snr_misses_targets(self, equal_gain):
+        # above about 150 dB the uplink power cancels to 0 in floating
+        # point, and every scheme misses its rate targets by whole bits
+        cfg = ScenarioConfig(n=4, trials=3, master_seed=1234, axis="snr",
+                             axis_values=(20.0, 200.0), equal_gain=equal_gain)
+        records, summaries = harness.run_sweep(cfg)
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                    for t in range(cfg.trials)]
+        _assert_parity(records, cfg, channels)
+        assert {r.status for r in records if r.snr_db == 200.0} == {
+            "failed:InfeasibleError"}
+        assert {r.status for r in records if r.snr_db == 20.0} == {"ok"}
+        assert [s.failures for s in summaries] == [0, 3] * 4
+
     @pytest.mark.parametrize("scale", (0.5, 2.0))
     def test_splitting_check_off_the_required_power(self, scale):
         # A sweep always runs at the required power, where both splitting
@@ -228,6 +255,133 @@ class TestBatchParity:
             assert res.p_r[0, t] == p_r
             assert np.max(np.abs(res.beta[:, 0, t] - betas)) <= BETA_TOL
         assert (res.status == "ok").all() == (scale > 1.0)
+
+
+def _fmt_reference(x) -> str:
+    if isinstance(x, float):
+        if math.isnan(x):
+            return "nan"
+        return format(x, ".9g")
+    return str(x)
+
+
+def _records_reference(cfg, points, channels):
+    """The per-record sweep path: one `TrialRecord` per (scheme, point,
+    trial) of the `batch.solve` results, then a stable sort by (snr_db,
+    pc_dbm, scheme, trial). Reference for `harness._run_batch`."""
+    params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
+    chans = batch.ChannelBatch(channels)
+    records = []
+    for scheme in sorted(cfg.schemes):
+        res = batch.solve(scheme, chans, params,
+                          equal_gain_phased=(cfg.equal_gain == "phased"))
+        for p, (snr_db, pc_dbm) in enumerate(points):
+            for t, ch in enumerate(channels):
+                status = res.status[p, t]
+                p_r = float(res.p_r[p, t])
+                records.append(harness.TrialRecord(
+                    scheme, snr_db, pc_dbm, t, ch.seed,
+                    db_from_power(p_r) if status == "ok" else math.nan, 0,
+                    *res.beta[:, p, t].tolist(), *res.margins[:, p, t].tolist(),
+                    status))
+    records.sort(key=lambda r: (r.snr_db, r.pc_dbm, r.scheme, r.trial))
+    return records
+
+
+def _records_csv_reference(records) -> str:
+    """The per-record CSV writer. Reference for `harness.records_csv`."""
+    buf = io.StringIO()
+    buf.write(",".join(harness.RECORD_COLUMNS) + "\n")
+    for r in records:
+        buf.write(",".join(_fmt_reference(getattr(r, c))
+                           for c in harness.RECORD_COLUMNS) + "\n")
+    return buf.getvalue()
+
+
+def _summarize_reference(records) -> list:
+    """The per-bucket summary: records bucketed by (scheme, snr_db,
+    pc_dbm) and reduced one bucket at a time in sorted key order, rows by
+    trial. Reference for `harness.summarize`."""
+    buckets = {}
+    for r in records:
+        buckets.setdefault((r.scheme, r.snr_db, r.pc_dbm), []).append(r)
+    out = []
+    for key in sorted(buckets):
+        rows = sorted(buckets[key], key=lambda r: r.trial)
+        vals = np.asarray([r.p_r_db for r in rows if r.status == "ok"])
+        failures = sum(1 for r in rows if r.status != "ok")
+        if len(vals):
+            mean = float(np.mean(vals))
+            stderr = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) \
+                if len(vals) > 1 else 0.0
+        else:
+            mean, stderr = float("nan"), float("nan")
+        out.append(harness.SweepSummary(
+            scheme=key[0], snr_db=key[1], pc_dbm=key[2], mean_p_r_db=mean,
+            stderr_p_r_db=stderr, trials=len(vals), failures=failures))
+    return out
+
+
+def _assert_same_output(cfg, points, channels):
+    """The columnar table holds the values of the per-record references
+    bit for bit (repr is exact and prints NaN) and prints their bytes."""
+    table = harness._run_batch(cfg, points, channels)
+    ref = _records_reference(cfg, points, channels)
+    assert repr(list(table)) == repr(ref)
+    assert harness.records_csv(table) == _records_csv_reference(ref)
+    summaries = harness.summarize(table)
+    assert repr(summaries) == repr(_summarize_reference(ref))
+    assert (harness.summary_csv(summaries)
+            == harness.summary_csv(_summarize_reference(ref)))
+    return table
+
+
+def _seeded(cfg):
+    return [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+            for t in range(cfg.trials)]
+
+
+class TestColumnarOutput:
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
+                             ids=("fig2", "fig3"))
+    def test_presets(self, preset, equal_gain):
+        cfg = preset(equal_gain=equal_gain)
+        _assert_same_output(cfg, harness.axis_points(cfg), _seeded(cfg))
+
+    @pytest.mark.parametrize("axis_values", [
+        pytest.param((30.0, 10.0, 30.0, 0.0), id="unsorted-duplicated"),
+        pytest.param((-0.0, 15.0), id="negative-zero"),
+        pytest.param((0.0, 25.0, -0.0), id="both-zeros"),
+    ])
+    def test_axis_values(self, axis_values):
+        cfg = ScenarioConfig(n=3, trials=5, master_seed=21, axis="snr",
+                             axis_values=axis_values)
+        _assert_same_output(cfg, harness.axis_points(cfg), _seeded(cfg))
+
+    def test_single_antenna(self):
+        cfg = ScenarioConfig(n=1, trials=6, master_seed=8, axis="pc",
+                             axis_values=(0.0, 10.0, 20.0))
+        _assert_same_output(cfg, harness.axis_points(cfg), _seeded(cfg))
+
+    def test_failed_records(self):
+        # a zero channel toward user 1: some buckets are part failed
+        cfg = ScenarioConfig(n=3, trials=4, equal_gain="unphased")
+        zero = ChannelRealization(h1=np.zeros(3, dtype=complex),
+                                  h2=np.asarray(EDGE_H1, dtype=complex), seed=5)
+        channels = [gen_channel(11, 3), zero, gen_channel(12, 3),
+                    gen_channel(13, 3)]
+        table = _assert_same_output(cfg, [(20.0, 10.0)], channels)
+        assert (harness.records_csv(harness.run_point(cfg, 20.0, 10.0,
+                                                      channels=channels))
+                == harness.records_csv(table))
+        assert harness.failure_fraction(table) == 0.25
+        # the extreme-SNR case: whole buckets fail beside ok ones
+        cfg = ScenarioConfig(n=4, trials=3, axis="snr",
+                             axis_values=(200.0, 20.0))
+        table = _assert_same_output(cfg, harness.axis_points(cfg),
+                                    _seeded(cfg))
+        assert harness.failure_fraction(table) == 0.5
 
 
 def _oracle_reference(channel, params, resolution):
@@ -490,6 +644,61 @@ class TestCli:
         assert cli.main(["oracle-check", "--channels", "1", "--resolution",
                          "32", "--rel-tol", "1e-3", "--max-iter", "5"]) == 0
         assert "diff range" in capsys.readouterr().out
+
+    def test_sweep_builds_no_trial_record(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sweep path built a TrialRecord")
+
+        monkeypatch.setattr(harness, "TrialRecord", forbidden)
+        rc = cli.main(["sweep", "--preset", "fig3", "--trials", "3",
+                       "--out-dir", str(tmp_path / "ok")])
+        assert rc == cli.EXIT_OK
+        rc = cli.main(["sweep", "--snr-db", "200", "--trials", "3",
+                       "--axis", "none", "--out-dir", str(tmp_path / "failed")])
+        assert rc == cli.EXIT_FAILURES
+
+    def test_extreme_snr_fails_records(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--snr-db", "200", "--trials", "3",
+                       "--schemes", "1", "--axis", "none",
+                       "--out-dir", str(tmp_path)])
+        assert rc == cli.EXIT_FAILURES
+        rows = (tmp_path / "records.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(r.endswith(",nan,nan,nan,nan,failed:InfeasibleError")
+                   for r in rows)
+        capsys.readouterr()
+        assert cli.main(["solve", "--snr-db", "400"]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: rate targets missed")
+        assert captured.out == ""
+
+    def test_parser_reused_across_calls(self, tmp_path, capsys):
+        runs = [["sweep", "--preset", "fig3", "--trials", "2",
+                 "--schemes", "3,4", "--out-dir", "{}/a"],
+                ["sweep", "--trials", "2", "--schemes", "4", "--axis", "none",
+                 "--out-dir", "{}/b"],
+                ["sweep", "--schemes", ""],
+                ["solve", "--n", "2", "--scheme", "4"]]
+
+        def outputs(tag, fresh):
+            root = str(tmp_path / tag)
+            got = []
+            for argv in runs:
+                if fresh:
+                    cli._make_parser.cache_clear()
+                rc = cli.main([a.format(root) for a in argv])
+                captured = capsys.readouterr()
+                got.append((rc, captured.out.replace(root, ""), captured.err))
+            files = sorted((str(f.relative_to(root)), f.read_bytes())
+                           for f in (tmp_path / tag).rglob("*.csv"))
+            return got, files
+
+        fresh = outputs("fresh", True)
+        reused = outputs("reused", False)
+        assert cli._make_parser() is cli._make_parser()
+        assert reused == fresh
+        assert [rc for rc, _, _ in fresh[0]] == [0, 0, 1, 0]
+        assert len(fresh[1]) == 4
 
     def test_io_error(self, tmp_path):
         rc = cli.main(["sweep", "--trials", "1", "--schemes", "4",
