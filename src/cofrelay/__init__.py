@@ -7,7 +7,7 @@ beamformer, receive combiner and per-user power splits (`design`,
 closed-form beamformer at each combiner angle), verify
 the rate targets, and aggregate Monte Carlo sweeps (`harness`), which run
 every scheme as one array pass over all (axis point, trial) pairs
-(`batch`, the array twin of `optimizer.run_scheme`). The paper's
+(`batch`, the schemes of `optimizer.run_scheme` over arrays). The paper's
 semidefinite relaxation of the beamformer step
 (`design.min_power_beamformer`, solved by the `sdp` interior-point method
 with `numerics`) is kept only as a certificate of the optimal power value,

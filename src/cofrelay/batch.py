@@ -1,16 +1,19 @@
 """The compared schemes over many channels and operating points in one pass.
 
-`solve` is the array twin of `optimizer.run_scheme` followed by
-`design.verify_rates` and `design.check_rates`. The T channel draws are
-one (T, 2, N) array, the P operating points are (P, 1) columns of sigma2
-and P_c, and every per-record quantity is a (P, T) array. Each step
+`solve` does the work of `optimizer.run_scheme` followed by
+`design.verify_rates` and `design.check_rates` for many records at once.
+The T channel draws are one (T, 2, N) array, the P operating points are
+(P, 1) columns of sigma2 and P_c, and every per-record quantity is a
+(P, T) array. Each step
 repeats the float operations of its scalar original in the same order,
 and the parity tests bound what rounding leaves between the two paths. Every check of the
 scalar path is an array mask with the same threshold; a record that fails
 one carries the error class the scalar path would raise as its status.
 
-Both frontier steps call `design.frontier_crossings`, whose tan phi is
-the scalar rule's bit for bit; the angle is then `math.atan` per record.
+Both frontier steps call `design.frontier_crossings`, the crossing rule
+of the scalar combiner step too; at mu = 0 its tan phi is that of the
+scalar beamformer's closed form `design.frontier_crossing` bit for bit.
+The angle is then `math.atan` per record.
 
 Scheme 1's angle search stays the scalar `optimizer.joint_angle`, called
 once per record, and the batch takes over from its combiner angle on: a

@@ -140,7 +140,8 @@ def _cmd_solve(args) -> int:
     print(f"g = {np.array2string(d.g, precision=4)}")
     print(f"beta = ({d.beta[0]:.6f}, {d.beta[1]:.6f})")
     print(f"P_uplink = ({d.p_uplink[0]:.6g}, {d.p_uplink[1]:.6g})")
-    print(f"gamma = ({d.gamma[0]:.4f}, {d.gamma[1]:.4f}), alpha = {report.alpha:.6f}")
+    print(f"gamma = ({report.gamma[0]:.4f}, {report.gamma[1]:.4f}), "
+          f"alpha = {report.alpha:.6f}")
     print(f"rate margins (up1, up2, down1, down2) = "
           f"({report.margins[0]:.4g}, {report.margins[1]:.4g}, "
           f"{report.margins[2]:.4g}, {report.margins[3]:.4g})")

@@ -9,7 +9,8 @@ is its conjugate.
 Both subproblems, the beamformer step (fixed g, mu = 0) and the combiner
 step (fixed f), minimize max_i rho_i/|u^H h_i|^2 + mu_i over a unit u. The
 optimum lies on the gain frontier (`FrontierBasis`), so one crossing rule,
-`frontier_crossing` and its array twin `frontier_crossings`, solves both.
+`frontier_crossings`, solves both; `frontier_crossing` is its mu = 0 closed
+form in Python floats, for the per-record beamformer step.
 
 All powers are linear; dB conversion happens at the scenario boundary.
 """
@@ -208,9 +209,28 @@ def frontier_basis(h1, h2) -> FrontierBasis:
     return FrontierBasis(n1, q1, r / c2, phase, a1, c2, math.atan2(c2, a1))
 
 
-def frontier_crossing(n1, a, c, rho, mu):
+def frontier_crossing(n1, a, c, rho):
+    """(tan phi, level) minimizing max(rho1/x1, rho2/x2) over the frontier
+    gains x_i of a `FrontierBasis` (n1, A, C): the mu = 0 case of
+    `frontier_crossings` in Python floats, with the same tan phi bit for
+    bit. With mu = 0 the crossing equation is linear in tan phi, with root
+    (n1 sqrt(rho2/rho1) - A)/C, clipped to [0, C/A]. Both rho_i must be
+    positive.
+    """
+    r1, r2 = rho
+    t = 0.0
+    if c > 0.0:
+        t = max((n1 * math.sqrt(r2 / r1) - a) / c, 0.0)
+        if a > 0.0:
+            t = min(t, c / a)
+    s = 1.0 + t * t
+    return t, max(s * (r1 / (n1 * n1)), s * (r2 / (a + c * t) ** 2))
+
+
+def frontier_crossings(n1, a, c, rho, mu):
     """(tan phi, level) minimizing max(T1, T2), T_i = rho_i/x_i + mu_i,
-    over the frontier gains x_i of a `FrontierBasis` (n1, A, C).
+    over the frontier gains x_i of a `FrontierBasis` (n1, A, C), for
+    arrays or Python floats that broadcast together.
 
     With t = tan phi and s = 1 + t^2, T1 = rho1 s/n1^2 + mu1 rises and
     T2 = rho2 s/(A + C t)^2 + mu2 falls on [0, C/A], so the optimum is an
@@ -219,10 +239,11 @@ def frontier_crossing(n1, a, c, rho, mu):
         g(t) = A + C t - n1 sqrt(rho2 s/(rho1 s + d)),  d = (mu1 - mu2) n1^2.
 
     For mu1 = mu2 (the beamformer step has mu = 0) g is linear, with root
-    (n1 sqrt(rho2/rho1) - A)/C. Otherwise let alpha_i = rho_i/n_i^2,
-    L_i = alpha_i + mu_i, and x the tangent of the angle from the matched
-    filter of the user with the larger L (x = t for user 1, else
-    (C - A t)/(A + C t)). The root is that of the convex, rising
+    (n1 sqrt(rho2/rho1) - A)/C, and tan phi is `frontier_crossing`'s bit
+    for bit. Otherwise let alpha_i = rho_i/n_i^2, L_i = alpha_i + mu_i,
+    and x the tangent of the angle from the matched filter of the user
+    with the larger L (x = t for user 1, else (C - A t)/(A + C t)). The
+    root is that of the convex, rising
 
         R(x) = (A + C x) sqrt(delta + p x^2) - sqrt(q) (C - A x),
 
@@ -231,55 +252,13 @@ def frontier_crossing(n1, a, c, rho, mu):
     sqrt(p) x and sqrt(delta) for the square root, until a step no longer
     decreases x or NEWTON_MAX steps (8 at most on the fig2 and fig3 presets
     and a random stress set). Both rho_i must be positive.
-    """
-    (r1, r2), (m1, m2) = rho, mu
-    t = 0.0
-    if c > 0.0:
-        if m1 == m2:
-            t = max((n1 * math.sqrt(r2 / r1) - a) / c, 0.0)
-            if a > 0.0:
-                t = min(t, c / a)
-        else:
-            t = _newton_crossing(n1, a, c, r1, r2, m1, m2)
-    s = 1.0 + t * t
-    return t, max(s * (r1 / (n1 * n1)) + m1, s * (r2 / (a + c * t) ** 2) + m2)
-
-
-def _newton_crossing(n1, a, c, r1, r2, m1, m2):
-    """tan phi of `frontier_crossing` for mu1 != mu2 and C > 0."""
-    al1, al2 = r1 / (n1 * n1), r2 / (a * a + c * c)
-    swap = al2 + m2 > al1 + m1
-    p, q = (al2, al1) if swap else (al1, al2)
-    delta = abs((al1 + m1) - (al2 + m2))
-    sq, sd = math.sqrt(q), math.sqrt(delta)
-    x = 0.0
-    if a * sd < sq * c:  # R(0) < 0
-        # roots of the lower bounds with sqrt(p) x and sqrt(delta)
-        b = a * (math.sqrt(p) + sq)
-        x = 2.0 * sq * c / (b + math.sqrt(b * b + 4.0 * c * c
-                                          * math.sqrt(p * q)))
-        den = c * sd + a * sq
-        if den > 0.0:
-            x = min(x, (sq * c - a * sd) / den)
-        for _ in range(NEWTON_MAX):
-            w = math.sqrt(delta + p * x * x)
-            step = (((a + c * x) * w - sq * (c - a * x))
-                    / (c * w + (a + c * x) * p * x / w + a * sq))
-            if not 0.0 < x - step < x:
-                break
-            x -= step
-    return (c - a * x) / (a + c * x) if swap else x
-
-
-def frontier_crossings(n1, a, c, rho, mu):
-    """Array twin of `frontier_crossing` over arrays that broadcast
-    together: the same float operations, so tan phi is the scalar result
-    bit for bit. The level can differ in its last bit, as Python's float
-    ``** 2`` is C ``pow`` and numpy's is x * x.
 
     Collinear (C = 0) and orthogonal (A = 0) channels divide by zero on the
     way, so call it under np.errstate with divide, invalid and over
-    ignored, as `batch.solve` and `optimizer.joint_angle` do.
+    ignored, as `batch.solve`, `optimizer.joint_angle` and
+    `min_level_combiner` do. The level can differ from
+    `frontier_crossing`'s in its last bit, as Python's float ``** 2`` is C
+    ``pow`` and numpy's is x * x.
     """
     (r1, r2), (m1, m2) = rho, mu
     inside = c > 0.0
@@ -294,7 +273,8 @@ def frontier_crossings(n1, a, c, rho, mu):
         p, q = np.where(swap, al2, al1), np.where(swap, al1, al2)
         delta = np.abs((al1 + m1) - (al2 + m2))
         sq, sd = np.sqrt(q), np.sqrt(delta)
-        active = general & (a * sd < sq * c)
+        active = general & (a * sd < sq * c)  # R(0) < 0
+        # roots of the lower bounds with sqrt(p) x and sqrt(delta)
         b = a * (np.sqrt(p) + sq)
         x = 2.0 * sq * c / (b + np.sqrt(b * b + 4.0 * c * c
                                         * np.sqrt(p * q)))
@@ -312,7 +292,7 @@ def frontier_crossings(n1, a, c, rho, mu):
         t = np.where(general, np.where(swap, (c - a * x) / (a + c * x), x), t)
     if isinstance(inside, np.ndarray):
         t = np.where(inside, t, 0.0)
-    elif not inside:  # a scalar frontier, as in `optimizer.joint_angle`
+    elif not inside:  # a scalar frontier, as in `min_level_combiner`
         t = np.zeros_like(t)
     s = 1.0 + t * t
     x1, x2 = r1 / (n1 * n1), r2 / (a + c * t) ** 2
@@ -338,12 +318,11 @@ def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     - otherwise tan phi = (n1 r - A)/C, where both terms meet at
       P* = (n2^2 a1 + n1^2 a2 - 2 n1 A sqrt(a1 a2)) / (n1^2 C^2).
 
-    This is `frontier_crossing` with rho = (a1, a2) and mu = (0, 0).
+    This is `frontier_crossing` with rho = (a1, a2).
     """
     a1, a2 = constraint_rhs(params, g, channel)
     basis = frontier_basis(channel.h1, channel.h2)
-    tan_phi, p_r = frontier_crossing(basis.n1, basis.a, basis.c, (a1, a2),
-                                     (0.0, 0.0))
+    tan_phi, p_r = frontier_crossing(basis.n1, basis.a, basis.c, (a1, a2))
     f = np.conj(basis.vector(math.atan(tan_phi)))
     return BeamformerDesign(p_r=p_r, f=f, rank_ratio=0.0)
 
@@ -379,35 +358,23 @@ def _combiner_objective(u, h_vecs, rho, mu):
 
 
 def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
-    """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u.
-
-    Users with rho_i = mu_i = 0 are dropped (degenerate single-user case).
-    Two users get the frontier vector at the crossing of
-    `frontier_crossing`. This is the combiner step (`solve_combiner`);
-    with mu = 0 it is the beamformer step of `solve_beamformer`.
+    """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u, for
+    two users with rho_i > 0: the frontier vector at the crossing of
+    `frontier_crossings`. This is the combiner step (`solve_combiner`).
     """
+    if min(rho) <= 0:
+        raise ValueError("both users of the frontier need rho_i > 0")
     h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
-    n = len(h_vecs[0])
-    keep = [k for k in range(len(h_vecs)) if rho[k] > 0 or mu[k] > 0]
-    if not keep:
-        raise ValueError("no active users in combiner subproblem")
-    hs = [h_vecs[k] for k in keep]
-    rs = [rho[k] for k in keep]
-    ms = [mu[k] for k in keep]
-
-    if n == 1:
+    if len(h_vecs[0]) == 1:
         u = np.ones(1, dtype=complex)
-    elif len(hs) == 1:
-        u = hs[0] / np.linalg.norm(hs[0])  # matched filter
     else:
-        if min(rs) <= 0:
-            raise ValueError("both users of the frontier need rho_i > 0")
-        basis = frontier_basis(*hs)
-        tan_phi, _ = frontier_crossing(basis.n1, basis.a, basis.c, rs, ms)
+        basis = frontier_basis(*h_vecs)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho,
+                                            mu)
         u = basis.vector(math.atan(tan_phi))
-
     return CombinerDesign(g=u.conj(),
-                          p_r_implied=_combiner_objective(u, hs, rs, ms))
+                          p_r_implied=_combiner_objective(u, h_vecs, rho, mu))
 
 
 def solve_combiner(f, channel, params: SystemParams) -> CombinerDesign:
@@ -469,13 +436,12 @@ def recover_beta(p_r, f, g, channel, params: SystemParams):
 @dataclass
 class TransceiverDesign:
     """A complete operating point: beamformer, combiner, relay power,
-    splitting ratios, uplink powers and diagnostic second-moment ratios."""
+    splitting ratios and uplink powers."""
     f: np.ndarray
     g: np.ndarray
     p_r: float
     beta: tuple
     p_uplink: tuple
-    gamma: tuple = (0.0, 0.0)
 
     def __post_init__(self):
         for name, v in (("f", self.f), ("g", self.g)):
@@ -488,21 +454,17 @@ class TransceiverDesign:
 
 
 def complete_design(f, g, p_r, channel, params: SystemParams) -> TransceiverDesign:
-    """Fill in splitting ratios, uplink powers and second-moment ratios for a
-    given (f, g, P_r) triple."""
+    """Fill in splitting ratios and uplink powers for a given (f, g, P_r)
+    triple."""
     beta = recover_beta(p_r, f, g, channel, params)
     p_up = []
     for b, h in zip(beta, (channel.h1, channel.h2)):
         p_up.append(params.eta * (1.0 - b) * p_r * downlink_gain(f, h)
                     - 2.0 * params.p_c)
-    s = [max(p, 0.0) * uplink_gain(g, h)
-         for p, h in zip(p_up, (channel.h1, channel.h2))]
-    tot = s[0] + s[1]
-    gamma = (s[0] / tot, s[1] / tot) if tot > 0 else (0.0, 0.0)
     return TransceiverDesign(f=np.asarray(f, dtype=complex),
                              g=np.asarray(g, dtype=complex),
                              p_r=float(p_r), beta=tuple(beta),
-                             p_uplink=tuple(p_up), gamma=gamma)
+                             p_uplink=tuple(p_up))
 
 
 @dataclass

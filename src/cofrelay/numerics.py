@@ -9,8 +9,6 @@ import numpy as np
 
 from .errors import DimensionError, SolverFailureError
 
-HERMITIAN_ATOL = 1e-12
-
 
 def hermitian(entries) -> np.ndarray:
     """Return a Hermitian matrix built from ``entries`` by symmetrizing.

@@ -218,8 +218,7 @@ def joint_angle(basis: FrontierBasis, params: SystemParams) -> float:
         x2 = (a * cos + c * sin) ** 2
         if x1 <= GAIN_FLOOR or x2 <= GAIN_FLOOR:
             return math.inf
-        return frontier_crossing(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2),
-                                 (0.0, 0.0))[1]
+        return frontier_crossing(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2))[1]
 
     psi = np.linspace(0.0, basis.psi_max, GRID_POINTS)
     cos, sin = np.cos(psi), np.sin(psi)

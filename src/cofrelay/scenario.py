@@ -99,6 +99,11 @@ class ScenarioConfig:
         self.axis_values = tuple(float(v) for v in self.axis_values)
         if self.axis != "none" and not self.axis_values:
             raise ConfigError("axis sweep requested but axis_values is empty")
+        # a repeated point would pool the same channels twice in its summary
+        # row; 0.0 and -0.0 are one point
+        if len(set(self.axis_values)) < len(self.axis_values):
+            raise ConfigError("axis_values must be distinct, "
+                              f"got {self.axis_values}")
 
 
 def units_from_config(cfg: ScenarioConfig) -> SystemParams:

@@ -355,9 +355,11 @@ class TestColumnarOutput:
         pytest.param((0.0, 25.0, -0.0), id="both-zeros"),
     ])
     def test_axis_values(self, axis_values):
-        cfg = ScenarioConfig(n=3, trials=5, master_seed=21, axis="snr",
-                             axis_values=axis_values)
-        _assert_same_output(cfg, harness.axis_points(cfg), _seeded(cfg))
+        # `ScenarioConfig` rejects repeated axis values, so the points go to
+        # `_run_batch` directly: its ordering of equal points stays covered
+        cfg = ScenarioConfig(n=3, trials=5, master_seed=21)
+        _assert_same_output(cfg, [(v, cfg.pc_dbm) for v in axis_values],
+                            _seeded(cfg))
 
     def test_single_antenna(self):
         cfg = ScenarioConfig(n=1, trials=6, master_seed=8, axis="pc",
@@ -564,6 +566,33 @@ class TestCli:
         assert rc == 0
         assert "P_r =" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    @pytest.mark.parametrize("scheme", (1, 2, 3, 4))
+    def test_solve_matches_sweep_record(self, tmp_path, capsys, scheme,
+                                        equal_gain):
+        # `solve` runs the scalar scheme path and `sweep` the batch; the
+        # same (seed, trial) must give the same P_r
+        trial = 3
+        rc = cli.main(["solve", "--trial", str(trial), "--scheme", str(scheme),
+                       "--equal-gain", equal_gain])
+        assert rc == 0
+        p_r = float(capsys.readouterr().out.split("P_r = ")[1].split()[0])
+        rc = cli.main(["sweep", "--axis", "none", "--trials", str(trial + 1),
+                       "--schemes", str(scheme), "--equal-gain", equal_gain,
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        rows = (tmp_path / "records.csv").read_text().splitlines()
+        header = rows[0].split(",")
+        row = dict(zip(header, rows[1 + trial].split(",")))
+        assert (row["scheme"], row["trial"]) == (str(scheme), str(trial))
+        # both print 9 significant digits: P_r to 5e-9 relative and p_r_db
+        # to half a unit in its last place, 1.15e-8 relative in power
+        # between 10 and 100 dB
+        db = row["p_r_db"]
+        half_unit = 0.5 * 10.0 ** -len(db.partition(".")[2])
+        tol = 1e-8 + 5e-9 + math.log(10.0) / 10.0 * half_unit
+        assert abs(p_r / 10.0 ** (float(db) / 10.0) - 1.0) <= tol
+
     def test_sweep_writes_files(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--trials", "2", "--schemes", "4",
                        "--axis", "none", "--out-dir", str(tmp_path)])
@@ -627,7 +656,9 @@ class TestCli:
                       ["solve", "--trial", "-1"],
                       ["lattice-demo", "--seed", "-1"],
                       ["lattice-demo", "--dim", "0"],
-                      ["lattice-demo", "--sigma2", "-1"]]
+                      ["lattice-demo", "--sigma2", "-1"],
+                      ["sweep", "--axis", "snr", "--axis-values", "10,10"],
+                      ["sweep", "--axis", "pc", "--axis-values", "0,-0"]]
                      + [[cmd] + flags for cmd in ("sweep", "solve")
                         for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE

@@ -112,6 +112,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(axis="snr", axis_values=())
 
+    @pytest.mark.parametrize("values", [(10.0, 10.0), (0.0, 5.0, -0.0),
+                                        (30.0, 10.0, 30.0, 0.0)],
+                             ids=("repeated", "both-zeros", "unsorted"))
+    def test_axis_values_distinct(self, values):
+        with pytest.raises(ConfigError):
+            scenario.ScenarioConfig(axis="pc", axis_values=values)
+        text = ",".join(repr(v) for v in values)
+        with pytest.raises(ConfigError):
+            scenario.parse_config(f"axis=snr\naxis_values={text}\n")
+
     def test_overrides(self):
         cfg = scenario.ScenarioConfig()
         out = scenario.with_overrides(cfg, trials=3, schemes="2,4", snr_db=None)
