@@ -15,11 +15,13 @@ of the scalar combiner step too; at mu = 0 its tan phi is that of the
 scalar beamformer's closed form `design.frontier_crossing` bit for bit.
 The angle is then `math.atan` per record.
 
-Scheme 1's angle search stays the scalar `optimizer.joint_angle`, called
-once per record, and the batch takes over from its combiner angle on: a
+Scheme 1's combiner angle with equal rate targets is the closed form of
+`optimizer.joint_angle`, one `frontier_crossings` pass over the channels
+that every operating point shares. With unequal targets it stays the
+scalar search of `optimizer.joint_angle`, called once per record: a
 golden-section search vectorised over the records costs a fixed number of
-array passes, and at the 7 and 2 records of the fig2-snr and oracle-n2
-benchmark blocks that was measured slower than the scalar search.
+array passes, and at 7 or 2 records a block it was measured slower than
+the scalar search.
 """
 
 from functools import cached_property
@@ -278,20 +280,24 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
 
 
 def _joint_angles(batch: ChannelBatch, pts: OperatingPoints, board):
-    """`optimizer.joint_angle` of every record, one scalar search each;
-    0 on collinear channels, where the scalar combiner is q1."""
+    """`optimizer.joint_angle` of every record, as a (P, T) array, or as
+    (1, T) when the rate targets are equal and the angle depends on the
+    channel only; 0 on collinear channels, where the scalar combiner is q1.
+    """
     basis = batch.basis
+    # `design.frontier_basis` raises on a zero h1
+    zero = ~(basis.n1 > 0.0)
+    board.fail(zero, DegenerateChannelError)
+    first = pts.params[0]
+    if first.r1_bar == first.r2_bar:
+        tan_psi, _ = frontier_crossings(basis.n1, basis.a, basis.c,
+                                        (1.0, 1.0), (0.0, 0.0))
+        return _map(math.atan, tan_psi)[None]
     psi = np.zeros(board.ok.shape)
-    for t in range(len(batch.channels)):
-        if not basis.n1[t] > 0.0:
-            # `design.frontier_basis` raises on a zero h1
-            column = np.zeros(board.ok.shape, dtype=bool)
-            column[:, t] = True
-            board.fail(column, DegenerateChannelError)
-        elif not basis.collinear[t]:
-            scalar = basis.scalar(t)
-            for p, params in enumerate(pts.params):
-                psi[p, t] = joint_angle(scalar, params)
+    for t in np.flatnonzero(~zero & ~basis.collinear):
+        scalar = basis.scalar(t)
+        for p, params in enumerate(pts.params):
+            psi[p, t] = joint_angle(scalar, params)
     return psi
 
 

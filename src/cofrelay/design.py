@@ -10,7 +10,8 @@ Both subproblems, the beamformer step (fixed g, mu = 0) and the combiner
 step (fixed f), minimize max_i rho_i/|u^H h_i|^2 + mu_i over a unit u. The
 optimum lies on the gain frontier (`FrontierBasis`), so one crossing rule,
 `frontier_crossings`, solves both; `frontier_crossing` is its mu = 0 closed
-form in Python floats, for the per-record beamformer step.
+form in Python floats, for the per-record beamformer step and scheme 1's
+equal-target angle (`optimizer.joint_angle`).
 
 All powers are linear; dB conversion happens at the scenario boundary.
 """
@@ -255,7 +256,8 @@ def frontier_crossings(n1, a, c, rho, mu):
 
     Collinear (C = 0) and orthogonal (A = 0) channels divide by zero on the
     way, so call it under np.errstate with divide, invalid and over
-    ignored, as `batch.solve`, `optimizer.joint_angle` and
+    ignored, as `batch.solve` (for both frontier steps and scheme 1's
+    equal-target angle), `optimizer._angle_search` and
     `min_level_combiner` do. The level can differ from
     `frontier_crossing`'s in its last bit, as Python's float ``** 2`` is C
     ``pow`` and numpy's is x * x.

@@ -2,8 +2,10 @@
 
 Scheme 1 is the global optimum of the joint design: both vectors lie on
 the two-user gain frontier, the best beamformer for a given combiner is a
-closed-form crossing, and `joint_angle` searches the one remaining
-combiner angle (`joint_combiner` turns it into the vector). `alternate`
+closed-form crossing, and `joint_angle` gives the one remaining combiner
+angle (`joint_combiner` turns it into the vector). With equal rate targets
+that angle is the closed-form max-min gain point of the frontier; with
+unequal targets it is a 1-D search. `alternate`
 keeps the paper's iterative algorithm, which alternates the beamformer
 and combiner subproblems until the relay power stalls and is only
 locally optimal; the oracle check compares it with
@@ -192,16 +194,41 @@ def joint_combiner(channel, params: SystemParams) -> np.ndarray:
 
 
 def joint_angle(basis: FrontierBasis, params: SystemParams) -> float:
-    """Combiner angle of the jointly optimal (f, g): a 1-D frontier search.
+    """Combiner angle of the jointly optimal (f, g). ``basis`` must not be
+    collinear (its q2 is not None).
 
     Both optimal vectors lie on the gain frontier of `design.frontier_basis`,
     and for a combiner at angle psi the best beamformer has the closed form
     of `design.frontier_crossing`, so the joint problem is the minimum of
-    P*(psi) = P*(a1(psi), a2(psi)) over psi in [0, psi_max]. P* is evaluated
-    on a uniform grid of GRID_POINTS angles, and the bracket around the
-    best grid point is refined by golden-section search to ANGLE_TOL; the
-    better of the two points is kept, so the result is never above the grid
-    minimum. ``basis`` must not be collinear (its q2 is not None).
+    P*(psi) = P*(a1(psi), a2(psi)) over psi in [0, psi_max].
+
+    With equal rate targets, a_i = k/y_i + b with the same k and b for both
+    users (y_i the uplink gain), and the optimum has f = g at the max-min
+    gain point of the frontier: the two-user multicast beamformer
+    (Sidiropoulos, Davidson & Luo 2006), tan psi = (n1 - A)/C clipped to
+    [0, C/A], which is `frontier_crossing` with rho = (1, 1). For b = 0
+    this is proved: in sqrt-gain coordinates the frontier bounds a convex
+    set, so with x_i the downlink gains, min_i x_i y_i is at most m^2 for
+    the max-min gain m, which f = g attains. The b/x_i term is not
+    covered by that argument; the tests certify the closed form against
+    `_angle_search` on the fig2 and fig3 preset records and on random
+    equal-target draws, and acceptance check c06 against the grid oracle.
+
+    With unequal targets f = g can be far from optimal, and the angle is
+    `_angle_search`'s.
+    """
+    if params.r1_bar == params.r2_bar:
+        return math.atan(frontier_crossing(basis.n1, basis.a, basis.c,
+                                           (1.0, 1.0))[0])
+    return _angle_search(basis, params)
+
+
+def _angle_search(basis: FrontierBasis, params: SystemParams) -> float:
+    """`joint_angle` by search, for any rate targets: P* is evaluated on a
+    uniform grid of GRID_POINTS angles, and the bracket around the best
+    grid point is refined by golden-section search to ANGLE_TOL; the
+    better of the two points is kept, so the result is never above the
+    grid minimum.
     """
     # a_i = k_i / x_i + b_i, x_i the uplink gain (`design.constraint_rhs`)
     th = rate_thresholds(params)

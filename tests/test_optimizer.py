@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -7,8 +8,9 @@ import pytest
 from frontier_reference import joint_reference
 from cofrelay import design, harness, optimizer, sdp
 from cofrelay.errors import DegenerateChannelError
-from cofrelay.scenario import (ChannelRealization, fig2_preset, gen_channel,
-                               trial_seed, units_from_config, with_overrides)
+from cofrelay.scenario import (ChannelRealization, fig2_preset, fig3_preset,
+                               gen_channel, trial_seed, units_from_config,
+                               with_overrides)
 
 SCALAR = design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
                              r1_bar=0.5, r2_bar=0.5)
@@ -252,3 +254,92 @@ class TestJointDesign:
             warnings.simplefilter("error")
             with pytest.raises(DegenerateChannelError):
                 optimizer.run_scheme(1, ch, FIG2)
+
+
+def _closed_form_case(ch, par):
+    """(closed-form P_r, search P_r) of scheme 1 on one channel with equal
+    rate targets, each the required power of the combiner at its angle and
+    the closed-form beamformer, as in `run_scheme`."""
+    basis = design.frontier_basis(ch.h1, ch.h2)
+    assert basis.q2 is not None
+    powers = []
+    for psi in (optimizer.joint_angle(basis, par),
+                optimizer._angle_search(basis, par)):
+        g = np.conj(basis.vector(psi))
+        f = design.solve_beamformer(g, ch, par).f
+        powers.append(design.required_power(f, g, ch, par))
+    return tuple(powers)
+
+
+def _random_equal_target_case(rng):
+    """One random channel and equal-target operating point: a tenth of the
+    channels nearly collinear, a tenth nearly orthogonal."""
+    n = int(rng.choice((2, 3, 4, 8, 16)))
+
+    def gauss():
+        return (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+
+    h1, h2 = gauss(), gauss()
+    kind = rng.uniform()
+    eps = 10.0 ** rng.uniform(-9, -3)
+    if kind < 0.1:
+        h2 = complex(rng.standard_normal(), rng.standard_normal()) * h1 + eps * h2
+    elif kind < 0.2:
+        h2 = h2 - np.vdot(h1, h2) / np.vdot(h1, h1) * h1 + eps * h1
+    h2 = h2 * 10.0 ** rng.uniform(-2, 2)
+    r = float(rng.uniform(0.1, 6.0))
+    par = design.SystemParams(
+        N=n, eta=float(10.0 ** rng.uniform(-3, 0)),
+        p_c=float(10.0 ** (rng.uniform(-60, 25) / 10.0)),
+        sigma2=float(10.0 ** (-rng.uniform(-10, 50) / 10.0)),
+        r1_bar=r, r2_bar=r)
+    return ChannelRealization(h1=h1, h2=h2, seed=0), par
+
+
+class TestEqualTargetClosedForm:
+    """With equal rate targets scheme 1's angle is the closed-form max-min
+    gain point. The search it replaced, kept for unequal targets, never
+    finds a lower relay power, and the design has f = g."""
+
+    @staticmethod
+    def _check(ch, par):
+        closed, search = _closed_form_case(ch, par)
+        assert closed <= search * (1 + 1e-12)
+        d = optimizer.run_scheme(1, ch, par).design
+        assert abs(np.vdot(d.f, d.g)) >= 1 - 1e-9
+
+    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
+                             ids=("fig2", "fig3"))
+    def test_preset_records(self, preset):
+        cfg = preset(master_seed=1234)
+        assert cfg.r1_bar == cfg.r2_bar
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                    for t in range(cfg.trials)]
+        for snr_db, pc_dbm in harness.axis_points(cfg):
+            par = units_from_config(with_overrides(
+                cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none",
+                axis_values=()))
+            for ch in channels:
+                self._check(ch, par)
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(1000):
+            self._check(*_random_equal_target_case(rng))
+
+    def test_unequal_targets_need_the_search(self):
+        # with unequal targets f = g at the max-min gain point can lie well
+        # above the optimum, so `joint_angle` searches there
+        par = dataclasses.replace(FIG2, r1_bar=1.0, r2_bar=3.0)
+        worst = 0.0
+        for t in range(10):
+            ch = rand_channel(t)
+            basis = design.frontier_basis(ch.h1, ch.h2)
+            eq = math.atan(design.frontier_crossing(
+                basis.n1, basis.a, basis.c, (1.0, 1.0))[0])
+            g = np.conj(basis.vector(eq))
+            p_eq = design.solve_beamformer(g, ch, par).p_r
+            p_opt = optimizer.run_scheme(1, ch, par).design.p_r
+            assert p_opt <= p_eq * (1 + 1e-12)
+            worst = max(worst, p_eq / p_opt - 1.0)
+        assert worst > 1e-3
