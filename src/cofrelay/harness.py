@@ -15,7 +15,7 @@ CSVs, and aggregation is independent of row order.
 """
 
 from dataclasses import dataclass
-import io
+import functools
 from itertools import chain
 import math
 
@@ -39,6 +39,9 @@ SUMMARY_COLUMNS = ("scheme", "snr_db", "pc_dbm", "mean_p_r_db", "stderr_p_r_db",
 _ROW_FORMAT = ",".join(
     "%d" if c in ("scheme", "trial", "seed", "iterations")
     else "%s" if c == "status" else "%.9g" for c in RECORD_COLUMNS) + "\n"
+# one summary.csv row: (scheme, snr_db, pc_dbm, mean_p_r_db, stderr_p_r_db,
+# trials, failures)
+_SUMMARY_ROW_FORMAT = "%d,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
 
 
 @dataclass
@@ -99,14 +102,6 @@ class SweepSummary:
     stderr_p_r_db: float
     trials: int
     failures: int
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isnan(x):
-            return "nan"
-        return format(x, ".9g")
-    return str(x)
 
 
 def axis_points(cfg: ScenarioConfig):
@@ -219,11 +214,11 @@ def records_csv(records: RecordTable) -> str:
 
 
 def summary_csv(summaries) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(SUMMARY_COLUMNS) + "\n")
-    for s in summaries:
-        buf.write(",".join(_fmt(getattr(s, c)) for c in SUMMARY_COLUMNS) + "\n")
-    return buf.getvalue()
+    """The summary.csv text, formatted in one printf pass like
+    `records_csv`."""
+    cells = [getattr(s, c) for s in summaries for c in SUMMARY_COLUMNS]
+    return (",".join(SUMMARY_COLUMNS) + "\n"
+            + _SUMMARY_ROW_FORMAT * len(summaries) % tuple(cells))
 
 
 def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
@@ -263,15 +258,47 @@ def pareto_front(x, y) -> np.ndarray:
     So no kept point has another point <= in both coordinates and < in one,
     every dropped point has a kept point <= in both, and of equal points
     only one is kept. The indices come back in ascending x.
+
+    Before the sort, one pivot prunes the points (Kung, Luccio & Preparata,
+    J. ACM 1975): p is the first point of least x + y, and every other
+    point with x >= x[p] and y >= y[p] is dropped. Such a point sorts after
+    p (only a copy of p of lower index could sort before it, and p is the
+    first of its copies), so the unpruned pass drops it too. So no kept
+    point is pruned, and as the running minimum before a point is the y of
+    the last kept point before it, the pruned pass returns the same indices
+    in the same order.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     idx = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
+    if len(idx):
+        xs, ys = x[idx], y[idx]
+        # an inf - inf or overflowing sum only makes a weaker pivot
+        with np.errstate(invalid="ignore", over="ignore"):
+            k = np.argmin(xs + ys)
+        keep = (xs < xs[k]) | (ys < ys[k])
+        keep[k] = True
+        idx = idx[keep]
     order = idx[np.lexsort((y[idx], x[idx]))]
     ys = y[order]
     keep = np.ones(len(ys), dtype=bool)
     keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
     return order[keep]
+
+
+@functools.lru_cache(maxsize=2)
+def _grid(resolution: int) -> np.ndarray:
+    """The unit vectors of the N=2 oracle grid, one per row, read-only:
+    (cos t, sin t e^{j phi}) for t in [0, pi/2) and phi in [0, 2 pi), then
+    the two coordinate poles. The two latest resolutions are cached."""
+    t = np.linspace(0.0, math.pi / 2.0, resolution, endpoint=False)
+    phi = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    tt, pp = np.meshgrid(t, phi, indexing="ij")
+    vecs = np.stack([np.cos(tt).ravel(),
+                     (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1)
+    vecs = np.vstack([vecs, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)])
+    vecs.flags.writeable = False
+    return vecs
 
 
 def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
@@ -281,20 +308,22 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     After gauging away global phases, each vector is (cos t, sin t e^{j phi});
     the grid covers t in [0, pi/2) and phi in [0, 2 pi) at the given
     resolution, with the two coordinate poles always appended so that doubling
-    the resolution refines the candidate set monotonically.
+    the resolution refines the candidate set monotonically (`_grid`).
 
     The power of a pair is max(inv1[f] a1[g], inv2[f] a2[g]) with
-    inv_i = 1/hd_i and every factor positive, so a beamformer row whose
-    (inv1, inv2) are both >= those of another row never gives a smaller
-    value, and likewise a combiner column whose (a1, a2) are both >= those
-    of another column. Rounding a product by a positive factor is monotone,
-    so this holds for the computed floats too: the minimum over the two
-    Pareto fronts (`pareto_front`) is the minimum over the full grid, bit
-    for bit, and every grid point still counts as a candidate. Grid points
-    with a gain at or below 1e-30 toward either user are dropped before the
-    product. Fronts grow with the resolution (thousands of points at 512),
-    so the products are formed 512 front rows at a time, which bounds memory
-    by 512 x front columns.
+    inv_i = 1/hd_i and a_i = k_i/hd_i + b_i, where hd_i is the gain of the
+    grid vector toward user i and every factor is positive. Both inv_i and
+    a_i are non-increasing in hd_i, and rounding keeps that order. So a grid
+    point whose gains (hd1, hd2) are both <= those of another point is
+    weakly dominated by it as a beamformer row, in (inv1, inv2), and as a
+    combiner column, in (a1, a2). Rounding a product by a positive factor is
+    monotone too, so the minimum over rows and columns drawn from the one
+    Pareto front of the gains (`pareto_front` of -hd1, -hd2) is the minimum
+    over the full grid, bit for bit, and every grid point still counts as a
+    candidate. Grid points with a gain at or below 1e-30 toward either user
+    are dropped before the product. Fronts grow with the resolution
+    (thousands of points at 512), so the products are formed 512 front rows
+    at a time, which bounds memory by 512 x front size.
     """
     h1 = np.asarray(channel.h1)
     h2 = np.asarray(channel.h2)
@@ -317,12 +346,7 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
              + params.sigma2 * (t_dn - 1.0) + 2.0 * params.p_c / params.eta)
         return a / gain
 
-    t = np.linspace(0.0, math.pi / 2.0, resolution, endpoint=False)
-    phi = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    tt, pp = np.meshgrid(t, phi, indexing="ij")
-    vecs = np.stack([np.cos(tt).ravel(),
-                     (np.sin(tt) * np.exp(1j * pp)).ravel()], axis=1)
-    vecs = np.vstack([vecs, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)])
+    vecs = _grid(resolution)
 
     def gains(h):
         return np.abs(vecs @ h) ** 2
@@ -331,22 +355,19 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     # degenerate grid vectors (zero gain toward a user) drop out as NaN
     hd1 = np.where(g1 > 1e-30, g1, np.nan)
     hd2 = np.where(g2 > 1e-30, g2, np.nan)
+    front = pareto_front(-hd1, -hd2)
+    hd1, hd2 = hd1[front], hd2[front]
     a1 = (params.sigma2 * th.theta_1r / (params.eta * hd1)
           + params.sigma2 * (th.theta_r1 - 1.0) + 2.0 * params.p_c / params.eta)
     a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)
           + params.sigma2 * (th.theta_r2 - 1.0) + 2.0 * params.p_c / params.eta)
-
     inv1, inv2 = 1.0 / hd1, 1.0 / hd2
-    # rows and columns drop the same NaN grid points, so both are empty or neither
-    rows = pareto_front(inv1, inv2)
-    cols = pareto_front(a1, a2)
-    c1, c2 = a1[cols], a2[cols]
     best = np.inf
     chunk = 512
-    for i in range(0, len(rows), chunk):
-        r = rows[i:i + chunk]
-        best = min(best, float(np.min(np.maximum(np.outer(inv1[r], c1),
-                                                 np.outer(inv2[r], c2)))))
+    for i in range(0, len(front), chunk):
+        r = slice(i, i + chunk)
+        best = min(best, float(np.min(np.maximum(np.outer(inv1[r], a1),
+                                                 np.outer(inv2[r], a2)))))
     if not math.isfinite(best):
         raise DegenerateChannelError("no non-degenerate grid point")
     return best

@@ -298,6 +298,16 @@ def _records_csv_reference(records) -> str:
     return buf.getvalue()
 
 
+def _summary_csv_reference(summaries) -> str:
+    """The per-cell summary writer. Reference for `harness.summary_csv`."""
+    buf = io.StringIO()
+    buf.write(",".join(harness.SUMMARY_COLUMNS) + "\n")
+    for s in summaries:
+        buf.write(",".join(_fmt_reference(getattr(s, c))
+                           for c in harness.SUMMARY_COLUMNS) + "\n")
+    return buf.getvalue()
+
+
 def _summarize_reference(records) -> list:
     """The per-bucket summary: records bucketed by (scheme, snr_db,
     pc_dbm) and reduced one bucket at a time in sorted key order, rows by
@@ -333,6 +343,7 @@ def _assert_same_output(cfg, points, channels):
     assert repr(summaries) == repr(_summarize_reference(ref))
     assert (harness.summary_csv(summaries)
             == harness.summary_csv(_summarize_reference(ref)))
+    assert harness.summary_csv(summaries) == _summary_csv_reference(summaries)
     return table
 
 
@@ -384,6 +395,21 @@ class TestColumnarOutput:
         table = _assert_same_output(cfg, harness.axis_points(cfg),
                                     _seeded(cfg))
         assert harness.failure_fraction(table) == 0.5
+
+    def test_summary_csv(self):
+        # at 200 dB every record fails, so those buckets have NaN mean and
+        # stderr; with one trial the 20 dB buckets have a stderr of 0
+        cfg = ScenarioConfig(n=3, trials=1, axis="snr",
+                             axis_values=(200.0, 20.0))
+        summaries = harness.run_sweep(cfg)[1]
+        assert any(math.isnan(s.mean_p_r_db) and math.isnan(s.stderr_p_r_db)
+                   for s in summaries)
+        assert any(s.trials == 1 and s.stderr_p_r_db == 0.0 for s in summaries)
+        summaries.append(harness.SweepSummary(
+            scheme=2, snr_db=-0.0, pc_dbm=1e-300, mean_p_r_db=-math.inf,
+            stderr_p_r_db=123456789.25, trials=0, failures=7))
+        assert harness.summary_csv(summaries) == _summary_csv_reference(summaries)
+        assert harness.summary_csv([]) == _summary_csv_reference([])
 
 
 def _oracle_reference(channel, params, resolution):
@@ -437,6 +463,46 @@ def _parity_cases(resolution, count, first):
 COL_H1 = np.array([0.3 - 1.1j, 0.8 + 0.2j])
 
 
+def _pareto_reference(x, y) -> np.ndarray:
+    """The unpruned front: every non-NaN point sorted, then one
+    running-minimum pass. Reference for the pivot-pruned
+    `harness.pareto_front`."""
+    x = np.asarray(x)
+    y = np.asarray(y)
+    idx = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
+    order = idx[np.lexsort((y[idx], x[idx]))]
+    ys = y[order]
+    keep = np.ones(len(ys), dtype=bool)
+    keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
+    return order[keep]
+
+
+def _cloud(kind, seed):
+    """A seeded random point cloud of the given kind for `pareto_front`."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    if kind == "integer-ties":
+        return (rng.integers(-6, 6, n).astype(float),
+                rng.integers(-6, 6, n).astype(float))
+    if kind == "pivot-copies":
+        # the point of least x + y, (-1, -1), at five random indices
+        n = max(n, 5)
+        x, y = rng.integers(0, 9, n).astype(float), rng.random(n)
+        at = rng.choice(n, 5, replace=False)
+        x[at], y[at] = -1.0, -1.0
+        return x, y
+    x, y = rng.standard_normal(n), rng.standard_normal(n)
+    for v in (x, y):
+        v[rng.random(n) < 0.1] = np.nan
+        v[rng.random(n) < 0.1] = np.inf
+        v[rng.random(n) < 0.1] = -np.inf
+    if kind == "nan-inf":
+        return x, y
+    if kind == "all-nan":
+        return np.full(n, np.nan), y
+    return np.array([]), np.array([])
+
+
 class TestParetoFront:
     def test_matches_brute_force_dominance(self):
         rng = np.random.default_rng(5)
@@ -463,6 +529,17 @@ class TestParetoFront:
         assert len(harness.pareto_front(np.array([]), np.array([]))) == 0
         nan = np.full(3, np.nan)
         assert len(harness.pareto_front(nan, np.ones(3))) == 0
+
+    @pytest.mark.parametrize("kind", ("integer-ties", "pivot-copies",
+                                      "nan-inf", "all-nan", "empty"))
+    def test_pruning_matches_unpruned_sort(self, kind):
+        for seed in range(40):
+            x, y = _cloud(kind, seed)
+            got = harness.pareto_front(x, y)
+            assert got.tolist() == _pareto_reference(x, y).tolist()
+            # and with the coordinates swapped
+            assert (harness.pareto_front(y, x).tolist()
+                    == _pareto_reference(y, x).tolist())
 
 
 class TestOracleGrid:
@@ -506,6 +583,26 @@ class TestOracleGrid:
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
         # one 512-column chunk of the full 65538-point product is 268 MB
         assert peak < 64e6
+
+    def test_grid_is_read_only(self):
+        vecs = harness._grid(64)
+        assert vecs.shape == (64 * 64 + 2, 2)
+        with pytest.raises(ValueError):
+            vecs[0, 0] = 2.0
+        assert harness._grid(64) is vecs
+
+    def test_interleaved_resolutions_match_fresh_grids(self):
+        ch = gen_channel(trial_seed(4321, 3), 2)
+        par = _n2_params(20.0, 10.0)
+        resolutions = (64, 256, 32, 64)
+        cached = [harness.oracle_grid(ch, par, resolution=r)
+                  for r in resolutions]
+        fresh = []
+        for r in resolutions:
+            harness._grid.cache_clear()
+            fresh.append(harness.oracle_grid(ch, par, resolution=r))
+        assert cached == fresh
+        assert harness._grid.cache_info().maxsize == 2
 
     def test_orthogonal_symmetric(self):
         par = SystemParams(N=2, eta=1.0, p_c=0.0, sigma2=1.0,
