@@ -32,7 +32,7 @@ import numpy as np
 
 from .design import (BETA_SLACK, COLLINEAR_TOL, GAIN_FLOOR, MARGIN_SLACK,
                      UNIT_NORM_TOL, FrontierBasis, frontier_crossings,
-                     rate_thresholds)
+                     power_constants)
 from .errors import DegenerateChannelError, InfeasibleError
 from .optimizer import SchemeId, joint_angle
 
@@ -157,12 +157,11 @@ class ChannelBatch:
 
 
 class OperatingPoints:
-    """P operating points as columns of the constraint constants: (P, 1)
+    """P operating points as columns of the `design.PowerConstants`: (P, 1)
     per point, (2, P, 1) per user and point.
 
     The points share N, eta and the rate targets and differ in sigma2 and
-    P_c, as the points of one sweep do. Each column holds a product that
-    the scalar formulas form first, so using it changes no rounding.
+    P_c, as the points of one sweep do.
     """
 
     def __init__(self, params_list):
@@ -172,21 +171,15 @@ class OperatingPoints:
         if any((p.N, p.eta, p.r1_bar, p.r2_bar) != shared for p in self.params):
             raise ValueError("operating points must share N, eta and the "
                              "rate targets")
-        eta = self.eta = first.eta
-        th = rate_thresholds(first)
-        t_up = np.array([th.theta_1r, th.theta_2r])[:, None, None]
-        t_dn = np.array([th.theta_r1, th.theta_r2])[:, None, None]
-        sigma2 = self.sigma2 = np.array([p.sigma2 for p in self.params])[:, None]
+        self.eta = first.eta
+        self.sigma2 = np.array([p.sigma2 for p in self.params])[:, None]
         p_c = np.array([p.p_c for p in self.params])[:, None]
-        self.two_pc = 2.0 * p_c
-        self.circuit = 2.0 * p_c / eta
-        self.noise_up = sigma2 * t_up            # sigma2 theta_{i,r}
-        self.noise_dn = sigma2 * (t_dn - 1.0)    # sigma2 (theta_{r,i} - 1)
-        # numerator eta sigma2 (theta_{r,i} - 1) - 2 P_c of `recover_beta`
-        self.beta_num = eta * sigma2 * (t_dn - 1.0) - 2.0 * p_c
-        # targets of the margins up1, up2 and then down1, down2
-        self.targets = np.array([first.r1_bar, first.r2_bar,
-                                 first.r2_bar, first.r1_bar])[:, None, None]
+        const = power_constants(first, self.sigma2, p_c)
+        self.two_pc, self.circuit = const.two_pc, const.circuit
+        self.noise_up = np.array(const.noise_up)
+        self.noise_dn = np.array(const.noise_dn)
+        self.beta_num = np.array(const.beta_num)
+        self.targets = np.array(const.targets)[:, None, None]
 
     def __len__(self):
         return len(self.params)

@@ -8,6 +8,7 @@ and ``lattice-demo``. Flags override config-file keys. Exit codes: 0 ok,
 """
 
 import argparse
+from dataclasses import fields
 import functools
 import os
 import sys
@@ -66,20 +67,9 @@ def _build_config(args, preset=None) -> ScenarioConfig:
         cfg = ScenarioConfig()
     if preset and args.config:
         raise _UsageError("--preset and --config are mutually exclusive")
-    overrides = {}
-    for key in ("master_seed", "n", "eta", "snr_db", "pc_dbm", "r1_bar",
-                "r2_bar", "trials", "schemes", "equal_gain", "rel_tol",
-                "max_iter"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    axis = getattr(args, "axis", None)
-    if axis is not None:
-        overrides["axis"] = axis
-    axis_values = getattr(args, "axis_values", None)
-    if axis_values is not None:
-        overrides["axis_values"] = axis_values
-    return with_overrides(cfg, **overrides)
+    # flags are stored under their keys; `with_overrides` skips the None ones
+    return with_overrides(cfg, **{f.name: getattr(args, f.name, None)
+                                  for f in fields(ScenarioConfig)})
 
 
 @functools.cache

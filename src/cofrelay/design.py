@@ -76,6 +76,33 @@ def rate_thresholds(params: SystemParams) -> RateThresholds:
     return RateThresholds(t1r, t2r, theta_r1=t2r, theta_r2=t1r)
 
 
+class PowerConstants(NamedTuple):
+    """The constants of the relay power constraints P_r |h_i^T f|^2 >= a_i,
+    a_i = noise_up_i/(eta |g h_i|^2) + noise_dn_i + circuit, and of the
+    splitting ratios, as floats or (P, 1) columns; per-user ones are pairs."""
+    noise_up: tuple     # sigma2 theta_{i,r}
+    noise_dn: tuple     # sigma2 (theta_{r,i} - 1)
+    circuit: float      # 2 P_c / eta
+    two_pc: float       # 2 P_c
+    beta_num: tuple     # eta sigma2 (theta_{r,i} - 1) - 2 P_c of `recover_beta`
+    targets: tuple      # of the margins up1, up2, down1, down2
+
+
+def power_constants(params: SystemParams, sigma2, p_c) -> PowerConstants:
+    """`PowerConstants` of the eta and rate targets of ``params`` at noise
+    power ``sigma2`` and circuit power ``p_c``, floats or (P, 1) columns.
+    Each is formed in its formulas' order, so using it changes no rounding."""
+    th = rate_thresholds(params)
+    dn = (th.theta_r1 - 1.0, th.theta_r2 - 1.0)
+    return PowerConstants(
+        noise_up=(sigma2 * th.theta_1r, sigma2 * th.theta_2r),
+        noise_dn=tuple(sigma2 * t for t in dn),
+        circuit=2.0 * p_c / params.eta,
+        two_pc=2.0 * p_c,
+        beta_num=tuple(params.eta * sigma2 * t - 2.0 * p_c for t in dn),
+        targets=(params.r1_bar, params.r2_bar, params.r2_bar, params.r1_bar))
+
+
 def uplink_gain(g, h) -> float:
     """|g . h|^2 for the combiner row vector g."""
     return float(np.abs(np.dot(np.asarray(g), np.asarray(h))) ** 2)
@@ -88,16 +115,14 @@ def downlink_gain(f, h) -> float:
 
 def constraint_rhs(params: SystemParams, g, channel):
     """Per-user right-hand sides a_i of the relay power constraints."""
-    th = rate_thresholds(params)
+    const = power_constants(params, params.sigma2, params.p_c)
     out = []
-    for h, t_up, t_dn in ((channel.h1, th.theta_1r, th.theta_r1),
-                          (channel.h2, th.theta_2r, th.theta_r2)):
+    for h, noise_up, noise_dn in zip((channel.h1, channel.h2), const.noise_up,
+                                     const.noise_dn):
         gi = uplink_gain(g, h)
         if gi <= GAIN_FLOOR:
             raise DegenerateChannelError("zero effective uplink gain")
-        out.append(params.sigma2 * t_up / (params.eta * gi)
-                   + params.sigma2 * (t_dn - 1.0)
-                   + 2.0 * params.p_c / params.eta)
+        out.append(noise_up / (params.eta * gi) + noise_dn + const.circuit)
     return tuple(out)
 
 
@@ -228,6 +253,7 @@ def frontier_crossing(n1, a, c, rho):
     return t, max(s * (r1 / (n1 * n1)), s * (r2 / (a + c * t) ** 2))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def frontier_crossings(n1, a, c, rho, mu):
     """(tan phi, level) minimizing max(T1, T2), T_i = rho_i/x_i + mu_i,
     over the frontier gains x_i of a `FrontierBasis` (n1, A, C), for
@@ -252,15 +278,11 @@ def frontier_crossings(n1, a, c, rho, mu):
     Newton descends onto it from the smaller root of R's lower bounds with
     sqrt(p) x and sqrt(delta) for the square root, until a step no longer
     decreases x or NEWTON_MAX steps (8 at most on the fig2 and fig3 presets
-    and a random stress set). Both rho_i must be positive.
+    and a random stress set). Both rho_i must be positive. Collinear
+    (C = 0) and orthogonal (A = 0) channels divide by zero on the way.
 
-    Collinear (C = 0) and orthogonal (A = 0) channels divide by zero on the
-    way, so call it under np.errstate with divide, invalid and over
-    ignored, as `batch.solve` (for both frontier steps and scheme 1's
-    equal-target angle), `optimizer._angle_search` and
-    `min_level_combiner` do. The level can differ from
-    `frontier_crossing`'s in its last bit, as Python's float ``** 2`` is C
-    ``pow`` and numpy's is x * x.
+    The level can differ from `frontier_crossing`'s in its last bit, as
+    Python's float ``** 2`` is C ``pow`` and numpy's is x * x.
     """
     (r1, r2), (m1, m2) = rho, mu
     inside = c > 0.0
@@ -337,15 +359,15 @@ class CombinerDesign(NamedTuple):
 def combiner_coefficients(f, channel, params: SystemParams):
     """(rho_i, mu_i) of the fixed-beamformer subproblem
     min_g max_i rho_i / |g h_i|^2 + mu_i."""
-    th = rate_thresholds(params)
+    const = power_constants(params, params.sigma2, params.p_c)
     rho, mu = [], []
-    for h, t_up, t_dn in ((channel.h1, th.theta_1r, th.theta_r1),
-                          (channel.h2, th.theta_2r, th.theta_r2)):
+    for h, noise_up, noise_dn in zip((channel.h1, channel.h2), const.noise_up,
+                                     const.noise_dn):
         hi = downlink_gain(f, h)
         if hi <= GAIN_FLOOR:
             raise DegenerateChannelError("zero effective downlink gain")
-        rho.append(params.sigma2 * t_up / (params.eta * hi))
-        mu.append((params.sigma2 * (t_dn - 1.0) + 2.0 * params.p_c / params.eta) / hi)
+        rho.append(noise_up / (params.eta * hi))
+        mu.append((noise_dn + const.circuit) / hi)
     return tuple(rho), tuple(mu)
 
 
@@ -371,9 +393,7 @@ def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
         u = np.ones(1, dtype=complex)
     else:
         basis = frontier_basis(*h_vecs)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho,
-                                            mu)
+        tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
         u = basis.vector(math.atan(tan_phi))
     return CombinerDesign(g=u.conj(),
                           p_r_implied=_combiner_objective(u, h_vecs, rho, mu))
@@ -387,17 +407,15 @@ def solve_combiner(f, channel, params: SystemParams) -> CombinerDesign:
 
 def beta_interval(p_r, f, g, channel, params: SystemParams, user: int):
     """Feasible power-splitting interval [lo, hi] for one user (0-based)."""
-    th = rate_thresholds(params)
+    const = power_constants(params, params.sigma2, params.p_c)
     h = (channel.h1, channel.h2)[user]
-    t_up = (th.theta_1r, th.theta_2r)[user]
-    t_dn = (th.theta_r1, th.theta_r2)[user]
     hi_gain = downlink_gain(f, h)
     gi = uplink_gain(g, h)
     if hi_gain <= GAIN_FLOOR or gi <= GAIN_FLOOR:
         raise DegenerateChannelError("zero effective gain")
-    lo = params.sigma2 * (t_dn - 1.0) / (p_r * hi_gain)
-    hi = (1.0 - params.sigma2 * t_up / (params.eta * p_r * hi_gain * gi)
-          - 2.0 * params.p_c / (params.eta * p_r * hi_gain))
+    lo = const.noise_dn[user] / (p_r * hi_gain)
+    hi = (1.0 - const.noise_up[user] / (params.eta * p_r * hi_gain * gi)
+          - const.two_pc / (params.eta * p_r * hi_gain))
     return lo, hi
 
 
@@ -408,21 +426,17 @@ def recover_beta(p_r, f, g, channel, params: SystemParams):
                 - sigma^2 theta_{i,r} / (eta P_r |h_i^T f|^2 |g h_i|^2)) / 2,
     the midpoint of the feasible splitting interval. Raises InfeasibleError
     when the interval is empty (P_r below the required power)."""
-    th = rate_thresholds(params)
+    const = power_constants(params, params.sigma2, params.p_c)
     betas = []
-    for user, (h, t_up, t_dn) in enumerate(
-            ((channel.h1, th.theta_1r, th.theta_r1),
-             (channel.h2, th.theta_2r, th.theta_r2))):
+    for user, h in enumerate((channel.h1, channel.h2)):
         lo, hi = beta_interval(p_r, f, g, channel, params, user)
         if lo > hi + BETA_SLACK:
             raise InfeasibleError(f"empty splitting interval for user {user + 1}: "
                                   f"[{lo}, {hi}]")
         hg = downlink_gain(f, h)
         gi = uplink_gain(g, h)
-        beta = 0.5 * (1.0
-                      + (params.eta * params.sigma2 * (t_dn - 1.0) - 2.0 * params.p_c)
-                      / (params.eta * p_r * hg)
-                      - params.sigma2 * t_up / (params.eta * p_r * hg * gi))
+        beta = 0.5 * (1.0 + const.beta_num[user] / (params.eta * p_r * hg)
+                      - const.noise_up[user] / (params.eta * p_r * hg * gi))
         if beta < 0.0:
             if beta < -BETA_SLACK:
                 raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")

@@ -25,8 +25,8 @@ from . import batch, lattice
 # re-exported: no record with status ok has a margin below -MARGIN_SLACK
 from .design import MARGIN_SLACK, SystemParams, rate_thresholds  # noqa: F401
 from .errors import ConfigError, DegenerateChannelError, DimensionError
-from .scenario import (ScenarioConfig, db_from_power, gen_channel, trial_seed,
-                       units_from_config, with_overrides)
+from .scenario import (ScenarioConfig, db_from_power, gen_channel,
+                       point_params, trial_seed)
 
 RECORD_COLUMNS = ("scheme", "snr_db", "pc_dbm", "trial", "seed", "p_r_db",
                   "iterations", "beta1", "beta2", "margin_up1", "margin_up2",
@@ -127,10 +127,8 @@ def _run_batch(cfg: ScenarioConfig, points, channels) -> RecordTable:
     """The records of every configured scheme at every (snr_db, pc_dbm)
     point, one `batch.solve` pass per scheme over all (point, trial) pairs,
     sorted by point, scheme and trial. Iterations are 0."""
-    params = batch.OperatingPoints(
-        units_from_config(with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm,
-                                         axis="none", axis_values=()))
-        for snr_db, pc_dbm in points)
+    params = batch.OperatingPoints(point_params(cfg, snr_db, pc_dbm)
+                                   for snr_db, pc_dbm in points)
     chans = batch.ChannelBatch(channels)
     phased = cfg.equal_gain == "phased"
     schemes = sorted(cfg.schemes)

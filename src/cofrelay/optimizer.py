@@ -24,7 +24,7 @@ import numpy as np
 
 from .design import (GAIN_FLOOR, FrontierBasis, SystemParams,
                      TransceiverDesign, complete_design, frontier_basis,
-                     frontier_crossing, frontier_crossings, rate_thresholds,
+                     frontier_crossing, frontier_crossings, power_constants,
                      required_power, solve_beamformer, solve_combiner)
 from .errors import (DegenerateChannelError, InfeasibleError,
                      SolverFailureError)
@@ -231,12 +231,9 @@ def _angle_search(basis: FrontierBasis, params: SystemParams) -> float:
     grid minimum.
     """
     # a_i = k_i / x_i + b_i, x_i the uplink gain (`design.constraint_rhs`)
-    th = rate_thresholds(params)
-    base = 2.0 * params.p_c / params.eta
-    k1 = params.sigma2 * th.theta_1r / params.eta
-    k2 = params.sigma2 * th.theta_2r / params.eta
-    b1 = params.sigma2 * (th.theta_r1 - 1.0) + base
-    b2 = params.sigma2 * (th.theta_r2 - 1.0) + base
+    const = power_constants(params, params.sigma2, params.p_c)
+    k1, k2 = (v / params.eta for v in const.noise_up)
+    b1, b2 = (v + const.circuit for v in const.noise_dn)
     n1, a, c = basis.n1, basis.a, basis.c
 
     def power(psi):
@@ -251,9 +248,10 @@ def _angle_search(basis: FrontierBasis, params: SystemParams) -> float:
     cos, sin = np.cos(psi), np.sin(psi)
     x1 = (n1 * cos) ** 2
     x2 = (a * cos + c * sin) ** 2
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        _, grid = frontier_crossings(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2),
-                                     (0.0, 0.0))
+    # x2 is 0 at psi = 0 on orthogonal channels; the mask below drops it
+    with np.errstate(divide="ignore", over="ignore"):
+        rho = (k1 / x1 + b1, k2 / x2 + b2)
+    _, grid = frontier_crossings(n1, a, c, rho, (0.0, 0.0))
     j = int(np.argmin(np.where((x1 > GAIN_FLOOR) & (x2 > GAIN_FLOOR),
                                grid, math.inf)))
     best = (float(psi[j]), power(float(psi[j])))

@@ -97,6 +97,8 @@ class ScenarioConfig:
         if any(s not in (1, 2, 3, 4) for s in self.schemes):
             raise ConfigError(f"schemes must be drawn from 1..4, got {self.schemes}")
         self.axis_values = tuple(float(v) for v in self.axis_values)
+        if not all(map(math.isfinite, self.axis_values)):
+            raise ConfigError(f"axis_values must be finite, got {self.axis_values}")
         if self.axis != "none" and not self.axis_values:
             raise ConfigError("axis sweep requested but axis_values is empty")
         # a repeated point would pool the same channels twice in its summary
@@ -108,10 +110,14 @@ class ScenarioConfig:
 
 def units_from_config(cfg: ScenarioConfig) -> SystemParams:
     """Convert the dB-scale configuration to linear system parameters."""
-    sigma2 = power_from_db(-cfg.snr_db)
-    p_c = power_from_db(cfg.pc_dbm)
-    return SystemParams(N=cfg.n, eta=cfg.eta, p_c=p_c, sigma2=sigma2,
-                        r1_bar=cfg.r1_bar, r2_bar=cfg.r2_bar)
+    return point_params(cfg, cfg.snr_db, cfg.pc_dbm)
+
+
+def point_params(cfg: ScenarioConfig, snr_db, pc_dbm) -> SystemParams:
+    """`units_from_config` at the operating point (snr_db, pc_dbm)."""
+    return SystemParams(N=cfg.n, eta=cfg.eta, p_c=power_from_db(pc_dbm),
+                        sigma2=power_from_db(-snr_db), r1_bar=cfg.r1_bar,
+                        r2_bar=cfg.r2_bar)
 
 
 _LIST_KEYS = {"schemes", "axis_values"}

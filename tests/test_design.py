@@ -50,6 +50,24 @@ class TestThresholds:
         assert th.theta_1r == 4.0 and th.theta_2r == 16.0
         assert th.theta_r1 == 16.0 and th.theta_r2 == 4.0
 
+    def test_power_constants_asymmetric(self):
+        # theta = (4, 16) up and (16, 4) down; every value is exact
+        par = design.SystemParams(N=1, eta=0.5, p_c=1.0, sigma2=2.0,
+                                  r1_bar=1.0, r2_bar=2.0)
+        c = design.power_constants(par, par.sigma2, par.p_c)
+        assert c == ((8.0, 32.0), (30.0, 6.0), 4.0, 2.0, (13.0, 1.0),
+                     (1.0, 2.0, 2.0, 1.0))
+        # (P, 1) columns of two operating points, the second at (0.5, 0.25)
+        cols = design.power_constants(par, np.array([[2.0], [0.5]]),
+                                      np.array([[1.0], [0.25]]))
+        expected = {"noise_up": ([[8.0], [2.0]], [[32.0], [8.0]]),
+                    "noise_dn": ([[30.0], [7.5]], [[6.0], [1.5]]),
+                    "circuit": [[4.0], [1.0]], "two_pc": [[2.0], [0.5]],
+                    "beta_num": ([[13.0], [3.25]], [[1.0], [0.25]])}
+        for name, want in expected.items():
+            assert np.array_equal(getattr(cols, name), want), name
+        assert cols.targets == c.targets
+
 
 class TestConstraintRhs:
     def test_unit_gains(self):
@@ -70,6 +88,19 @@ class TestConstraintRhs:
                                   r1_bar=1.0, r2_bar=1.0)
         a = design.constraint_rhs(par, np.array([1.0 + 0j]), SCALAR_CH)
         assert a == pytest.approx((15.0, 15.0))
+
+    def test_asymmetric_targets(self):
+        # user 1: 8/0.5 + 30 + 4; user 2: 32/0.5 + 6 + 4 (see
+        # `TestThresholds.test_power_constants_asymmetric`)
+        par = design.SystemParams(N=1, eta=0.5, p_c=1.0, sigma2=2.0,
+                                  r1_bar=1.0, r2_bar=2.0)
+        a = design.constraint_rhs(par, np.array([1.0 + 0j]), SCALAR_CH)
+        assert a == (50.0, 74.0)
+        swapped = design.SystemParams(N=1, eta=0.5, p_c=1.0, sigma2=2.0,
+                                      r1_bar=2.0, r2_bar=1.0)
+        # on equal channels, swapping the targets swaps the users
+        a = design.constraint_rhs(swapped, np.array([1.0 + 0j]), SCALAR_CH)
+        assert a == (74.0, 50.0)
 
     def test_degenerate(self):
         ch = ChannelRealization(h1=np.array([0.0 + 0j]),

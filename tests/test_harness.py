@@ -171,11 +171,16 @@ class TestBatchParity:
         _assert_parity(records, cfg, channels)
 
     @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
-    @pytest.mark.parametrize("n", (1, 2, 8))
-    def test_antenna_counts(self, n, equal_gain):
+    @pytest.mark.parametrize("n,r1_bar,r2_bar", [
+        pytest.param(n, r1, r2, id=f"{n}{suffix}")
+        for r1, r2, suffix in ((1.0, 3.0, ""), (3.0, 1.0, "-swapped"))
+        for n in (1, 2, 8)])
+    def test_antenna_counts(self, n, r1_bar, r2_bar, equal_gain):
+        # both orders of unequal targets: theta_{r,i} is theta_{3-i,r}
         cfg = ScenarioConfig(n=n, trials=25, master_seed=7, axis="snr",
                              axis_values=(-10.0, 20.0, 50.0), pc_dbm=-20.0,
-                             r1_bar=1.0, r2_bar=3.0, equal_gain=equal_gain)
+                             r1_bar=r1_bar, r2_bar=r2_bar,
+                             equal_gain=equal_gain)
         records, _ = harness.run_sweep(cfg)
         channels = [gen_channel(trial_seed(cfg.master_seed, t), n)
                     for t in range(cfg.trials)]
@@ -755,7 +760,10 @@ class TestCli:
                       ["lattice-demo", "--dim", "0"],
                       ["lattice-demo", "--sigma2", "-1"],
                       ["sweep", "--axis", "snr", "--axis-values", "10,10"],
-                      ["sweep", "--axis", "pc", "--axis-values", "0,-0"]]
+                      ["sweep", "--axis", "pc", "--axis-values", "0,-0"],
+                      ["sweep", "--axis", "snr", "--axis-values", "nan"],
+                      ["sweep", "--axis", "snr", "--axis-values", "10,inf"],
+                      ["sweep", "--axis", "pc", "--axis-values", "1e400"]]
                      + [[cmd] + flags for cmd in ("sweep", "solve")
                         for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE

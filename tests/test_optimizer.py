@@ -247,6 +247,16 @@ class TestJointDesign:
             else:
                 assert p == pytest.approx(joint_reference(ch, par), rel=1e-9)
 
+    @pytest.mark.parametrize("targets", ((0.5, 1.0), (1.0, 0.5)),
+                             ids=("r1-below", "r1-above"))
+    def test_orthogonal_unequal_targets(self, targets):
+        # the angle search's grid has a zero uplink gain toward user 2 at
+        # psi = 0; the suite turns a RuntimeWarning there into an error
+        par = dataclasses.replace(ORTH, r1_bar=targets[0], r2_bar=targets[1])
+        p = joint_power(ORTH_CH, par)
+        assert p <= harness.oracle_grid(ORTH_CH, par, resolution=256) * (
+            1 + 1e-12)
+
     def test_zero_channel_raises_without_warning(self):
         ch = ChannelRealization(h1=np.zeros(4, dtype=complex),
                                 h2=rand_channel(0).h2, seed=0)

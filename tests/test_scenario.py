@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,12 +96,18 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("eta", 0.0), ("eta", 2.0), ("eta", -0.5), ("r1_bar", -1.0),
         ("r2_bar", 0.0), ("master_seed", -1), ("max_iter", 0),
-        ("rel_tol", -1e-3)])
+        ("rel_tol", -1e-3),
+        pytest.param("axis_values", (math.nan,), id="axis_values-nan"),
+        pytest.param("axis_values", (10.0, math.inf), id="axis_values-inf"),
+        pytest.param("axis_values", (1e400,), id="axis_values-1e400")])
     def test_out_of_range_rejected(self, key, value):
         # SystemParams and SeedSequence would raise a bare ValueError later,
-        # and max_iter = 0 would leave the alternation without a design
+        # and max_iter = 0 would leave the alternation without a design; a
+        # sweep builds its points' parameters from the axis values unchecked
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(**{key: value})
+        if isinstance(value, tuple):
+            value = ",".join(map(repr, value))
         with pytest.raises(ConfigError):
             scenario.parse_config(f"{key}={value}\n")
 
