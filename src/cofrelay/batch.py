@@ -13,15 +13,10 @@ one carries the error class the scalar path would raise as its status.
 Both frontier steps call `design.frontier_crossings`, the crossing rule
 of the scalar combiner step too; at mu = 0 its tan phi is that of the
 scalar beamformer's closed form `design.frontier_crossing` bit for bit.
-The angle is then `math.atan` per record.
+The angle is then `math.atan` per record (`design.elementwise`).
 
-Scheme 1's combiner angle with equal rate targets is the closed form of
-`optimizer.joint_angle`, one `frontier_crossings` pass over the channels
-that every operating point shares. With unequal targets it stays the
-scalar search of `optimizer.joint_angle`, called once per record: a
-golden-section search vectorised over the records costs a fixed number of
-array passes, and at 7 or 2 records a block it was measured slower than
-the scalar search.
+Scheme 1's combiner angle is one `optimizer.joint_angles` call on the
+(P, T) records, the routine that the scalar path calls on one record.
 """
 
 from functools import cached_property
@@ -31,18 +26,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import (BETA_SLACK, COLLINEAR_TOL, GAIN_FLOOR, MARGIN_SLACK,
-                     UNIT_NORM_TOL, FrontierBasis, frontier_crossings,
+                     UNIT_NORM_TOL, elementwise, frontier_crossings,
                      power_constants)
 from .errors import DegenerateChannelError, InfeasibleError
-from .optimizer import SchemeId, joint_angle
-
-
-def _map(fn, *arrays):
-    """fn applied elementwise in Python. The scalar path takes its angles
-    from `math`, and np.arctan and np.arctan2 differ from it in the last
-    bit for about 1 argument in 400 and 1 in 14."""
-    flat = [x.ravel().tolist() for x in arrays]
-    return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
+from .optimizer import SchemeId, joint_angles
 
 
 def _users_first(x):
@@ -81,8 +68,8 @@ def _complex(re, im):
 class FrontierBases(NamedTuple):
     """`design.FrontierBasis` of every channel, one array per field.
 
-    Collinear channels (q2 None in the scalar basis) are flagged; their q2
-    is zero, their c and psi_max are 0 and their phase is 1, so that u(0)
+    On collinear channels (q2 None in the scalar basis) q2 is zero, c and
+    psi_max are 0 and the phase is 1, so that the only angle is 0 and u(0)
     is q1 as in the scalar basis. A zero h1 gives NaN fields instead of an
     error; `solve` fails those records with the error the scalar path
     raises.
@@ -94,18 +81,11 @@ class FrontierBases(NamedTuple):
     a: np.ndarray
     c: np.ndarray
     psi_max: np.ndarray
-    collinear: np.ndarray
 
     def vector(self, psi):
         """u(psi) of every basis; psi broadcasts against the channels."""
         return ((np.cos(psi) * self.phase)[..., None] * self.q1
                 + np.sin(psi)[..., None] * self.q2)
-
-    def scalar(self, t) -> FrontierBasis:
-        """The `design.FrontierBasis` of channel t, not collinear."""
-        return FrontierBasis(float(self.n1[t]), self.q1[t], self.q2[t],
-                             complex(self.phase[t]), float(self.a[t]),
-                             float(self.c[t]), float(self.psi_max[t]))
 
 
 def frontier_bases(h1, h2) -> FrontierBases:
@@ -122,8 +102,8 @@ def frontier_bases(h1, h2) -> FrontierBases:
                          _complex(c1.real / a, c1.imag / a), 1.0)
         q2 = np.where(collinear[:, None], 0.0, r / c2[:, None])
     c = np.where(collinear, 0.0, c2)
-    return FrontierBases(n1, q1, q2, phase, a, c, _map(math.atan2, c, a),
-                         collinear)
+    return FrontierBases(n1, q1, q2, phase, a, c,
+                         elementwise(math.atan2, c, a))
 
 
 class ChannelBatch:
@@ -230,7 +210,7 @@ def _combiner(batch: ChannelBatch, pts: OperatingPoints, board, down):
     mu = (pts.noise_dn + pts.circuit) / down
     basis = batch.basis
     tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
-    return basis.vector(_map(math.atan, tan_phi)).conj()
+    return basis.vector(elementwise(math.atan, tan_phi)).conj()
 
 
 def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
@@ -272,28 +252,6 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
     return BatchResult(p_r=p_r, beta=beta, margins=margins, status=board.status)
 
 
-def _joint_angles(batch: ChannelBatch, pts: OperatingPoints, board):
-    """`optimizer.joint_angle` of every record, as a (P, T) array, or as
-    (1, T) when the rate targets are equal and the angle depends on the
-    channel only; 0 on collinear channels, where the scalar combiner is q1.
-    """
-    basis = batch.basis
-    # `design.frontier_basis` raises on a zero h1
-    zero = ~(basis.n1 > 0.0)
-    board.fail(zero, DegenerateChannelError)
-    first = pts.params[0]
-    if first.r1_bar == first.r2_bar:
-        tan_psi, _ = frontier_crossings(basis.n1, basis.a, basis.c,
-                                        (1.0, 1.0), (0.0, 0.0))
-        return _map(math.atan, tan_psi)[None]
-    psi = np.zeros(board.ok.shape)
-    for t in np.flatnonzero(~zero & ~basis.collinear):
-        scalar = basis.scalar(t)
-        for p, params in enumerate(pts.params):
-            psi[p, t] = joint_angle(scalar, params)
-    return psi
-
-
 def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
           equal_gain_phased: bool = True) -> BatchResult:
     """`optimizer.run_scheme`, `design.verify_rates` and `check_rates` for
@@ -303,7 +261,14 @@ def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
     board = _Board((len(points), len(batch.channels)))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
-            g = batch.basis.vector(_joint_angles(batch, points, board)).conj()
+            # `design.frontier_basis` raises on a zero h1
+            basis = batch.basis
+            board.fail(~(basis.n1 > 0.0), DegenerateChannelError)
+            psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max,
+                               points.noise_up / points.eta,
+                               points.noise_dn + points.circuit)
+            # (1, T) at equal targets, where psi depends on the channel only
+            g = basis.vector(np.atleast_2d(psi)).conj()
             up = _uplink(g, batch.h)
         else:
             w, up, down = batch.equal_gain(equal_gain_phased)
@@ -319,6 +284,6 @@ def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
             basis = batch.basis
             tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rhs,
                                             (0.0, 0.0))
-            f = basis.vector(_map(math.atan, tan_phi)).conj()
+            f = basis.vector(elementwise(math.atan, tan_phi)).conj()
             down = _downlink(batch.h, f)
         return _tail(points, board, f, g, up, down, rhs)

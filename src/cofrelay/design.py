@@ -10,8 +10,7 @@ Both subproblems, the beamformer step (fixed g, mu = 0) and the combiner
 step (fixed f), minimize max_i rho_i/|u^H h_i|^2 + mu_i over a unit u. The
 optimum lies on the gain frontier (`FrontierBasis`), so one crossing rule,
 `frontier_crossings`, solves both; `frontier_crossing` is its mu = 0 closed
-form in Python floats, for the per-record beamformer step and scheme 1's
-equal-target angle (`optimizer.joint_angle`).
+form in Python floats, for the per-record beamformer step.
 
 All powers are linear; dB conversion happens at the scenario boundary.
 """
@@ -233,6 +232,15 @@ def frontier_basis(h1, h2) -> FrontierBasis:
     if c2 < COLLINEAR_TOL * max(1.0, np.linalg.norm(h2)):
         return FrontierBasis(n1, q1, None, phase, a1, 0.0, 0.0)
     return FrontierBasis(n1, q1, r / c2, phase, a1, c2, math.atan2(c2, a1))
+
+
+def elementwise(fn, *arrays):
+    """fn applied elementwise in Python to numpy arrays or scalars of one
+    shape. Both paths take their angles from `math` through it, because
+    np.arctan and np.arctan2 differ from `math` in the last bit for about
+    1 argument in 400 and 1 in 14."""
+    flat = [x.ravel().tolist() for x in arrays]
+    return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
 
 
 def frontier_crossing(n1, a, c, rho):

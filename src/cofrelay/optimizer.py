@@ -2,10 +2,13 @@
 
 Scheme 1 is the global optimum of the joint design: both vectors lie on
 the two-user gain frontier, the best beamformer for a given combiner is a
-closed-form crossing, and `joint_angle` gives the one remaining combiner
-angle (`joint_combiner` turns it into the vector). With equal rate targets
-that angle is the closed-form max-min gain point of the frontier; with
-unequal targets it is a 1-D search. `alternate`
+closed-form crossing, and one combiner angle remains. `joint_angles`
+gives it for one record (`joint_combiner`, which turns it into the
+vector) and for every record of a sweep (`batch.solve`) alike. With equal
+rate targets both users' constraints have the same constants, so the
+angle is the closed-form max-min gain point of the frontier, where f = g;
+with unequal targets it is one array search, a grid refined by
+golden-section search over all records at once. `alternate`
 keeps the paper's iterative algorithm, which alternates the beamformer
 and combiner subproblems until the relay power stalls and is only
 locally optimal; the oracle check compares it with
@@ -22,10 +25,10 @@ import math
 
 import numpy as np
 
-from .design import (GAIN_FLOOR, FrontierBasis, SystemParams,
-                     TransceiverDesign, complete_design, frontier_basis,
-                     frontier_crossing, frontier_crossings, power_constants,
-                     required_power, solve_beamformer, solve_combiner)
+from .design import (GAIN_FLOOR, SystemParams, TransceiverDesign,
+                     complete_design, elementwise, frontier_basis,
+                     frontier_crossings, power_constants, required_power,
+                     solve_beamformer, solve_combiner)
 from .errors import (DegenerateChannelError, InfeasibleError,
                      SolverFailureError)
 
@@ -166,99 +169,99 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
     return best
 
 
-def _golden_section(fun, lo, hi, tol):
-    """(x, fun(x)) at the minimum of a unimodal ``fun`` on [lo, hi]."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = hi - inv * (hi - lo), lo + inv * (hi - lo)
-    fc, fd = fun(c), fun(d)
-    while hi - lo > tol:
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - inv * (hi - lo)
-            fc = fun(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + inv * (hi - lo)
-            fd = fun(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
 def joint_combiner(channel, params: SystemParams) -> np.ndarray:
     """Combiner of the jointly optimal (f, g): conj(u(psi)) at the frontier
-    angle psi of `joint_angle`, or the matched filter of collinear channels.
+    angle psi of `joint_angles`, or the matched filter of collinear channels.
     """
     basis = frontier_basis(channel.h1, channel.h2)
     if basis.q2 is None:
         return np.conj(basis.q1)
-    return np.conj(basis.vector(joint_angle(basis, params)))
+    const = power_constants(params, params.sigma2, params.p_c)
+    k = tuple(v / params.eta for v in const.noise_up)
+    b = tuple(v + const.circuit for v in const.noise_dn)
+    psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max, k, b)
+    return np.conj(basis.vector(float(psi)))
 
 
-def joint_angle(basis: FrontierBasis, params: SystemParams) -> float:
-    """Combiner angle of the jointly optimal (f, g). ``basis`` must not be
-    collinear (its q2 is not None).
+def joint_angles(n1, a, c, psi_max, k, b):
+    """Combiner angle psi of the jointly optimal (f, g), for one record or
+    all records of a sweep: (n1, A, C, psi_max) of non-collinear
+    `design.FrontierBasis` and the pairs k, b of the right-hand sides
+    a_i = k_i/y_i + b_i of `design.constraint_rhs`, y_i the uplink gain,
+    are floats or arrays that broadcast together (a (T,) channel axis with
+    a (P, 1) point axis). For a combiner at angle psi the best beamformer
+    is the crossing of `design.frontier_crossings`, so the joint problem
+    is the minimum of P*(psi) = P*(a1(psi), a2(psi)) over [0, psi_max].
 
-    Both optimal vectors lie on the gain frontier of `design.frontier_basis`,
-    and for a combiner at angle psi the best beamformer has the closed form
-    of `design.frontier_crossing`, so the joint problem is the minimum of
-    P*(psi) = P*(a1(psi), a2(psi)) over psi in [0, psi_max].
-
-    With equal rate targets, a_i = k/y_i + b with the same k and b for both
-    users (y_i the uplink gain), and the optimum has f = g at the max-min
-    gain point of the frontier: the two-user multicast beamformer
-    (Sidiropoulos, Davidson & Luo 2006), tan psi = (n1 - A)/C clipped to
-    [0, C/A], which is `frontier_crossing` with rho = (1, 1). For b = 0
-    this is proved: in sqrt-gain coordinates the frontier bounds a convex
-    set, so with x_i the downlink gains, min_i x_i y_i is at most m^2 for
-    the max-min gain m, which f = g attains. The b/x_i term is not
-    covered by that argument; the tests certify the closed form against
-    `_angle_search` on the fig2 and fig3 preset records and on random
-    equal-target draws, and acceptance check c06 against the grid oracle.
-
-    With unequal targets f = g can be far from optimal, and the angle is
-    `_angle_search`'s.
+    With equal rate targets k1 = k2 and b1 = b2, and the optimum has f = g
+    at the max-min gain point of the frontier: the two-user multicast
+    beamformer (Sidiropoulos, Davidson & Luo 2006), tan psi = (n1 - A)/C
+    clipped to [0, C/A], the crossing with rho = (1, 1), taken through
+    `math.atan` per record. For b = 0 this is proved: in sqrt-gain
+    coordinates the frontier bounds a convex set, so with x_i the downlink
+    gains, min_i x_i y_i is at most m^2 for the max-min gain m, which
+    f = g attains. The b/x_i term is not covered by that argument; the
+    tests certify the closed form against `angle_search` on the fig2 and
+    fig3 preset records and on random draws, and acceptance check c06
+    against the grid oracle. With unequal targets f = g can be far from
+    optimal, and the angle is `angle_search`'s.
     """
-    if params.r1_bar == params.r2_bar:
-        return math.atan(frontier_crossing(basis.n1, basis.a, basis.c,
-                                           (1.0, 1.0))[0])
-    return _angle_search(basis, params)
+    (k1, k2), (b1, b2) = k, b
+    if (np.equal(k1, k2) & np.equal(b1, b2)).all():
+        tan_psi, _ = frontier_crossings(n1, a, c, (1.0, 1.0), (0.0, 0.0))
+        return elementwise(math.atan, tan_psi)
+    return angle_search(n1, a, c, psi_max, k, b)
 
 
-def _angle_search(basis: FrontierBasis, params: SystemParams) -> float:
-    """`joint_angle` by search, for any rate targets: P* is evaluated on a
-    uniform grid of GRID_POINTS angles, and the bracket around the best
-    grid point is refined by golden-section search to ANGLE_TOL; the
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def angle_search(n1, a, c, psi_max, k, b):
+    """`joint_angles` by search, for any rate targets and all records at
+    once: P* on a uniform grid of GRID_POINTS angles, then golden-section
+    search in the bracket around each record's best grid point, one new
+    angle per record and pass until the bracket is ANGLE_TOL wide. The
     better of the two points is kept, so the result is never above the
     grid minimum.
     """
-    # a_i = k_i / x_i + b_i, x_i the uplink gain (`design.constraint_rhs`)
-    const = power_constants(params, params.sigma2, params.p_c)
-    k1, k2 = (v / params.eta for v in const.noise_up)
-    b1, b2 = (v + const.circuit for v in const.noise_dn)
-    n1, a, c = basis.n1, basis.a, basis.c
+    (k1, k2), (b1, b2) = k, b
 
     def power(psi):
-        cos, sin = math.cos(psi), math.sin(psi)
+        cos, sin = np.cos(psi), np.sin(psi)
         x1 = (n1 * cos) ** 2
         x2 = (a * cos + c * sin) ** 2
-        if x1 <= GAIN_FLOOR or x2 <= GAIN_FLOOR:
-            return math.inf
-        return frontier_crossing(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2))[1]
+        # x2 is 0 at psi = 0 on orthogonal channels; the mask drops it
+        _, level = frontier_crossings(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2),
+                                      (0.0, 0.0))
+        return np.where((x1 > GAIN_FLOOR) & (x2 > GAIN_FLOOR), level, math.inf)
 
-    psi = np.linspace(0.0, basis.psi_max, GRID_POINTS)
-    cos, sin = np.cos(psi), np.sin(psi)
-    x1 = (n1 * cos) ** 2
-    x2 = (a * cos + c * sin) ** 2
-    # x2 is 0 at psi = 0 on orthogonal channels; the mask below drops it
-    with np.errstate(divide="ignore", over="ignore"):
-        rho = (k1 / x1 + b1, k2 / x2 + b2)
-    _, grid = frontier_crossings(n1, a, c, rho, (0.0, 0.0))
-    j = int(np.argmin(np.where((x1 > GAIN_FLOOR) & (x2 > GAIN_FLOOR),
-                               grid, math.inf)))
-    best = (float(psi[j]), power(float(psi[j])))
-    lo, hi = psi[max(j - 1, 0)], psi[min(j + 1, GRID_POINTS - 1)]
-    best = min(best, _golden_section(power, float(lo), float(hi), ANGLE_TOL),
-               key=lambda pair: pair[1])
-    return best[0]
+    shape = np.broadcast_shapes(*map(np.shape, (n1, a, c, psi_max, k1, k2,
+                                                b1, b2)))
+    psi = np.linspace(0.0, np.broadcast_to(psi_max, shape), GRID_POINTS)
+    grid = power(psi)
+    j = np.argmin(grid, axis=0)[None]
+    best = np.take_along_axis(psi, j, 0)[0]
+    p_best = np.take_along_axis(grid, j, 0)[0]
+    lo = np.take_along_axis(psi, np.maximum(j - 1, 0), 0)[0]
+    hi = np.take_along_axis(psi, np.minimum(j + 1, GRID_POINTS - 1), 0)[0]
+
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    x_c, x_d = hi - inv * (hi - lo), lo + inv * (hi - lo)
+    f_c, f_d = power(x_c), power(x_d)
+    active = hi - lo > ANGLE_TOL
+    while active.any():
+        left = f_c <= f_d    # the minimum is in [lo, d], else in [c, hi]
+        hi = np.where(active & left, x_d, hi)
+        lo = np.where(active & ~left, x_c, lo)
+        x = np.where(left, hi - inv * (hi - lo), lo + inv * (hi - lo))
+        f = power(x)
+        x_c, f_c, x_d, f_d = (
+            np.where(active, np.where(left, x, x_d), x_c),
+            np.where(active, np.where(left, f, f_d), f_c),
+            np.where(active, np.where(left, x_c, x), x_d),
+            np.where(active, np.where(left, f_c, f), f_d))
+        active &= hi - lo > ANGLE_TOL
+    refined = f_c <= f_d
+    x, f = np.where(refined, x_c, x_d), np.where(refined, f_c, f_d)
+    return np.where(f < p_best, x, best)
 
 
 class SchemeResult:

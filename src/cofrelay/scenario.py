@@ -48,6 +48,14 @@ def power_from_db(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
+def _power_in_range(db: float) -> bool:
+    """Whether `power_from_db` is positive and finite, about -3233 to 3082."""
+    try:
+        return power_from_db(db) > 0.0
+    except OverflowError:
+        return False
+
+
 @dataclass
 class ScenarioConfig:
     """Experiment configuration; every key has a CLI/config-file counterpart."""
@@ -75,6 +83,11 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
+        # the noise power is that of -snr_db, the circuit power that of pc_dbm
+        for name, db in (("snr_db", -self.snr_db), ("pc_dbm", self.pc_dbm)):
+            if not _power_in_range(db):
+                raise ConfigError(f"{name} gives no positive finite power, "
+                                  f"got {getattr(self, name)!r}")
         if not 0 < self.eta <= 1:
             raise ConfigError(f"eta must lie in (0, 1], got {self.eta!r}")
         for name in ("r1_bar", "r2_bar"):
@@ -99,6 +112,10 @@ class ScenarioConfig:
         self.axis_values = tuple(float(v) for v in self.axis_values)
         if not all(map(math.isfinite, self.axis_values)):
             raise ConfigError(f"axis_values must be finite, got {self.axis_values}")
+        sign = {"snr": -1.0, "pc": 1.0}.get(self.axis)
+        if sign and not all(_power_in_range(sign * v) for v in self.axis_values):
+            raise ConfigError("axis_values give no positive finite power, "
+                              f"got {self.axis_values}")
         if self.axis != "none" and not self.axis_values:
             raise ConfigError("axis sweep requested but axis_values is empty")
         # a repeated point would pool the same channels twice in its summary

@@ -763,7 +763,14 @@ class TestCli:
                       ["sweep", "--axis", "pc", "--axis-values", "0,-0"],
                       ["sweep", "--axis", "snr", "--axis-values", "nan"],
                       ["sweep", "--axis", "snr", "--axis-values", "10,inf"],
-                      ["sweep", "--axis", "pc", "--axis-values", "1e400"]]
+                      ["sweep", "--axis", "pc", "--axis-values", "1e400"],
+                      # beyond these powers `power_from_db` overflows or
+                      # underflows to 0
+                      ["solve", "--snr-db=-4000"],
+                      ["solve", "--pc-dbm", "4000"],
+                      ["solve", "--snr-db", "4000"],
+                      ["sweep", "--axis", "snr", "--axis-values", "0,4000"],
+                      ["sweep", "--axis", "pc", "--axis-values", "0,4000"]]
                      + [[cmd] + flags for cmd in ("sweep", "solve")
                         for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE

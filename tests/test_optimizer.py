@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from frontier_reference import joint_reference
-from cofrelay import design, harness, optimizer, sdp
+from cofrelay import batch, design, harness, optimizer, sdp
 from cofrelay.errors import DegenerateChannelError
 from cofrelay.scenario import (ChannelRealization, fig2_preset, fig3_preset,
                                gen_channel, trial_seed, units_from_config,
@@ -209,6 +209,28 @@ class TestJointDesign:
             oracle = harness.oracle_grid(ch, par, resolution=256)
             assert joint_power(ch, par) <= oracle * (1 + 1e-12)
 
+    @pytest.mark.parametrize("targets", ((1.0, 3.0), (3.0, 1.0)),
+                             ids=("r1-below", "r1-above"))
+    def test_unequal_targets_against_grid_oracle(self, targets):
+        # the oracle derives its own a_i from the rate thresholds, so this
+        # guards which threshold `design.power_constants` gives each user;
+        # the band is that of acceptance check c06
+        cfg = with_overrides(fig2_preset(), n=2, r1_bar=targets[0],
+                             r2_bar=targets[1], axis="none", axis_values=())
+        points = [(snr_db, 10.0) for snr_db in FIG2_SNRS] + [(20.0, 0.0),
+                                                             (20.0, 20.0)]
+        params = [units_from_config(with_overrides(cfg, snr_db=s, pc_dbm=p))
+                  for s, p in points]
+        channels = [rand_channel(t, n=2) for t in range(8)]
+        res = batch.solve(1, batch.ChannelBatch(channels),
+                          batch.OperatingPoints(params))
+        assert (res.status == "ok").all()
+        for p_r, par in zip(res.p_r, params):
+            for p, ch in zip(p_r, channels):
+                oracle = harness.oracle_grid(ch, par, resolution=192)
+                assert p <= oracle * (1 + 1e-12)
+                assert -0.01 <= 10.0 * math.log10(p / oracle) <= 0.05
+
     @pytest.mark.parametrize("n", (2, 3, 4, 8))
     def test_matches_frontier_reference(self, n):
         for k, snr_db in enumerate(FIG2_SNRS):
@@ -266,19 +288,41 @@ class TestJointDesign:
                 optimizer.run_scheme(1, ch, FIG2)
 
 
-def _closed_form_case(ch, par):
-    """(closed-form P_r, search P_r) of scheme 1 on one channel with equal
-    rate targets, each the required power of the combiner at its angle and
-    the closed-form beamformer, as in `run_scheme`."""
-    basis = design.frontier_basis(ch.h1, ch.h2)
-    assert basis.q2 is not None
-    powers = []
-    for psi in (optimizer.joint_angle(basis, par),
-                optimizer._angle_search(basis, par)):
-        g = np.conj(basis.vector(psi))
-        f = design.solve_beamformer(g, ch, par).f
-        powers.append(design.required_power(f, g, ch, par))
-    return tuple(powers)
+def _preset_cases(preset, **overrides):
+    """(channel, params) of every record of a preset sweep."""
+    cfg = preset(master_seed=1234, **overrides)
+    channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                for t in range(cfg.trials)]
+    cases = []
+    for snr_db, pc_dbm in harness.axis_points(cfg):
+        par = units_from_config(with_overrides(
+            cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none", axis_values=()))
+        cases.extend((ch, par) for ch in channels)
+    return cases
+
+
+def _angle_inputs(cases):
+    """The frontier bases of the (channel, params) ``cases`` and the
+    arguments (n1, A, C, psi_max, k, b) of `optimizer.joint_angles` for all
+    of them at once, one array entry per case."""
+    bases = [design.frontier_basis(ch.h1, ch.h2) for ch, _ in cases]
+    assert all(basis.q2 is not None for basis in bases)
+    k, b = [], []
+    for _, par in cases:
+        const = design.power_constants(par, par.sigma2, par.p_c)
+        k.append([v / par.eta for v in const.noise_up])
+        b.append([v + const.circuit for v in const.noise_dn])
+    cols = np.array([(f.n1, f.a, f.c, f.psi_max) for f in bases]).T
+    return bases, (*cols, np.array(k).T, np.array(b).T)
+
+
+def _combiner_power(ch, par, basis, psi):
+    """Scheme 1's relay power with the combiner at frontier angle psi: the
+    required power of that combiner and the closed-form beamformer, as in
+    `run_scheme`."""
+    g = np.conj(basis.vector(float(psi)))
+    f = design.solve_beamformer(g, ch, par).f
+    return design.required_power(f, g, ch, par)
 
 
 def _random_equal_target_case(rng):
@@ -308,38 +352,34 @@ def _random_equal_target_case(rng):
 
 class TestEqualTargetClosedForm:
     """With equal rate targets scheme 1's angle is the closed-form max-min
-    gain point. The search it replaced, kept for unequal targets, never
-    finds a lower relay power, and the design has f = g."""
+    gain point. The search that serves unequal targets never finds a lower
+    relay power, and the design has f = g."""
 
     @staticmethod
-    def _check(ch, par):
-        closed, search = _closed_form_case(ch, par)
-        assert closed <= search * (1 + 1e-12)
-        d = optimizer.run_scheme(1, ch, par).design
-        assert abs(np.vdot(d.f, d.g)) >= 1 - 1e-9
+    def _check(cases):
+        bases, inputs = _angle_inputs(cases)
+        closed = optimizer.joint_angles(*inputs)
+        search = optimizer.angle_search(*inputs)
+        for (ch, par), basis, psi_c, psi_s in zip(cases, bases, closed, search):
+            assert (_combiner_power(ch, par, basis, psi_c)
+                    <= _combiner_power(ch, par, basis, psi_s) * (1 + 1e-12))
+            d = optimizer.run_scheme(1, ch, par).design
+            assert abs(np.vdot(d.f, d.g)) >= 1 - 1e-9
 
     @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
                              ids=("fig2", "fig3"))
     def test_preset_records(self, preset):
-        cfg = preset(master_seed=1234)
-        assert cfg.r1_bar == cfg.r2_bar
-        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
-                    for t in range(cfg.trials)]
-        for snr_db, pc_dbm in harness.axis_points(cfg):
-            par = units_from_config(with_overrides(
-                cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none",
-                axis_values=()))
-            for ch in channels:
-                self._check(ch, par)
+        cases = _preset_cases(preset)
+        assert all(par.r1_bar == par.r2_bar for _, par in cases)
+        self._check(cases)
 
     def test_random_draws(self):
         rng = np.random.default_rng(20261018)
-        for _ in range(1000):
-            self._check(*_random_equal_target_case(rng))
+        self._check([_random_equal_target_case(rng) for _ in range(1000)])
 
     def test_unequal_targets_need_the_search(self):
         # with unequal targets f = g at the max-min gain point can lie well
-        # above the optimum, so `joint_angle` searches there
+        # above the optimum, so `joint_angles` searches there
         par = dataclasses.replace(FIG2, r1_bar=1.0, r2_bar=3.0)
         worst = 0.0
         for t in range(10):
@@ -353,3 +393,69 @@ class TestEqualTargetClosedForm:
             assert p_opt <= p_eq * (1 + 1e-12)
             worst = max(worst, p_eq / p_opt - 1.0)
         assert worst > 1e-3
+
+
+CERT_TOL = 1e-9
+
+
+def _crossing_level(n1, a, c, a1, a2):
+    """min over frontier beamformers of max(a1/x1, a2/x2): on [0, psi_max]
+    x1 = n1^2 cos^2 phi falls and x2 = (A cos phi + C sin phi)^2 rises,
+    and the two terms cross at tan phi = (n1 sqrt(a2/a1) - A)/C, clipped
+    to [0, C/A]."""
+    t = np.minimum(np.maximum((n1 * np.sqrt(a2 / a1) - a) / c, 0.0), c / a)
+    return (1.0 + t * t) * np.maximum(a1 / (n1 * n1), a2 / (a + c * t) ** 2)
+
+
+class TestUnequalTargetCertificate:
+    """Scheme 1's angle at unequal rate targets is the global optimum,
+    certified by branch and bound over the angle (monotonic optimization,
+    Tuy 2000) without the search's grid or bracket.
+
+    On [0, psi_max] the combiner's uplink gain toward user 1 falls and
+    that toward user 2 rises, so a1(psi) rises and a2(psi) falls, and the
+    crossing level P*(a1, a2) does not decrease in either argument. So
+    P*(a1(lo), a2(hi)) bounds the power on the cell [lo, hi] from below.
+    Cells are bisected until no bound lies more than CERT_TOL below the
+    found power; a midpoint below that refutes the found angle.
+    """
+
+    @pytest.mark.parametrize("targets", ((1.0, 3.0), (3.0, 1.0)),
+                             ids=("r1-below", "r1-above"))
+    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
+                             ids=("fig2", "fig3"))
+    def test_preset_records(self, preset, targets):
+        cases = _preset_cases(preset, r1_bar=targets[0], r2_bar=targets[1])
+        _, (n1, a, c, psi_max, k, b) = _angle_inputs(cases)
+        psi = optimizer.joint_angles(n1, a, c, psi_max, k, b)
+
+        def rhs(rec, psi):
+            cos, sin = np.cos(psi), np.sin(psi)
+            return (k[0][rec] / (n1[rec] * cos) ** 2 + b[0][rec],
+                    k[1][rec] / (a[rec] * cos + c[rec] * sin) ** 2 + b[1][rec])
+
+        def level(rec, a1, a2):
+            return _crossing_level(n1[rec], a[rec], c[rec], a1, a2)
+
+        # one cell [0, psi_max] per record, with a1 at its low end and a2
+        # at its high end
+        rec = np.arange(len(cases))
+        floor = level(rec, *rhs(rec, psi)) * (1 - CERT_TOL)
+        lo, hi = np.zeros(len(cases)), psi_max
+        a1_lo, a2_hi = rhs(rec, lo)[0], rhs(rec, hi)[1]
+        open_ = level(rec, a1_lo, a2_hi) < floor
+        rec, lo, hi, a1_lo, a2_hi = (
+            v[open_] for v in (rec, lo, hi, a1_lo, a2_hi))
+        for _ in range(64):
+            if not rec.size:
+                break
+            mid = 0.5 * (lo + hi)
+            a1_mid, a2_mid = rhs(rec, mid)
+            assert not np.any(level(rec, a1_mid, a2_mid) < floor[rec])
+            left = level(rec, a1_lo, a2_mid) < floor[rec]
+            right = level(rec, a1_mid, a2_hi) < floor[rec]
+            rec, lo, hi, a1_lo, a2_hi = (
+                np.concatenate([x[left], y[right]]) for x, y in (
+                    (rec, rec), (lo, mid), (mid, hi), (a1_lo, a1_mid),
+                    (a2_mid, a2_hi)))
+        assert rec.size == 0

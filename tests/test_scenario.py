@@ -96,12 +96,14 @@ class TestConfig:
     @pytest.mark.parametrize("key,value", [
         ("eta", 0.0), ("eta", 2.0), ("eta", -0.5), ("r1_bar", -1.0),
         ("r2_bar", 0.0), ("master_seed", -1), ("max_iter", 0),
-        ("rel_tol", -1e-3),
+        ("rel_tol", -1e-3), ("snr_db", 4000.0), ("snr_db", -4000.0),
+        ("pc_dbm", 4000.0), ("pc_dbm", -4000.0),
         pytest.param("axis_values", (math.nan,), id="axis_values-nan"),
         pytest.param("axis_values", (10.0, math.inf), id="axis_values-inf"),
         pytest.param("axis_values", (1e400,), id="axis_values-1e400")])
     def test_out_of_range_rejected(self, key, value):
         # SystemParams and SeedSequence would raise a bare ValueError later,
+        # dB values this far out overflow or underflow in `power_from_db`,
         # and max_iter = 0 would leave the alternation without a design; a
         # sweep builds its points' parameters from the axis values unchecked
         with pytest.raises(ConfigError):
@@ -115,6 +117,9 @@ class TestConfig:
         cfg = scenario.ScenarioConfig(eta=1.0, r1_bar=1e-3, r2_bar=1e-3,
                                       master_seed=0)
         assert scenario.units_from_config(cfg).eta == 1.0
+        par = scenario.units_from_config(scenario.ScenarioConfig(
+            snr_db=-3000.0, pc_dbm=-3200.0))
+        assert 0.0 < par.p_c < par.sigma2 < math.inf
 
     def test_axis_needs_values(self):
         with pytest.raises(ConfigError):
