@@ -178,7 +178,14 @@ class _Board:
 
     def fail(self, mask, error):
         """Fail the records under ``mask`` that have not failed yet."""
-        new = self.ok & mask
+        self._fail_new(self.ok & mask, error)
+
+    def require(self, passed, error):
+        """Fail the records not under ``passed`` that have not failed yet;
+        a comparison with NaN is False, so it fails its record."""
+        self._fail_new(self.ok > passed, error)
+
+    def _fail_new(self, new, error):
         if new.any():
             self.status[new] = f"failed:{error.__name__}"
             self.ok &= ~new
@@ -241,8 +248,9 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
                                           + s / sigma2))
     r_down = 0.5 * np.log2(1.0 + beta * p_r * down / sigma2)
     margins = np.concatenate([r_up, r_down]) - pts.targets
-    # `design.check_rates`
-    board.fail((margins < -MARGIN_SLACK).any(axis=0), InfeasibleError)
+    # `design.check_rates`; a non-finite P_r fails here too, since it makes
+    # both s infinite or NaN, and so s / tot and the uplink rates NaN
+    board.require((margins >= -MARGIN_SLACK).all(axis=0), InfeasibleError)
 
     if not board.ok.all():
         bad = ~board.ok

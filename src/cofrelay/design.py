@@ -127,15 +127,16 @@ def constraint_rhs(params: SystemParams, g, channel):
 
 def required_power(f, g, channel, params: SystemParams) -> float:
     """Smallest relay power admitting a feasible power split for both users,
-    given fixed beamformer and combiner: max_i a_i / |h_i^T f|^2."""
+    given fixed beamformer and combiner: max_i a_i / |h_i^T f|^2, NaN if
+    either ratio is."""
     a = constraint_rhs(params, g, channel)
-    p = 0.0
+    ratios = []
     for ai, h in zip(a, (channel.h1, channel.h2)):
         hi = downlink_gain(f, h)
         if hi <= GAIN_FLOOR:
             raise DegenerateChannelError("zero effective downlink gain")
-        p = max(p, ai / hi)
-    return p
+        ratios.append(ai / hi)
+    return float(np.max(ratios))
 
 
 def rank_one_extract(m):
@@ -433,7 +434,11 @@ def recover_beta(p_r, f, g, channel, params: SystemParams):
     beta_i = (1 + (eta sigma^2 (theta_{r,i}-1) - 2 P_c) / (eta P_r |h_i^T f|^2)
                 - sigma^2 theta_{i,r} / (eta P_r |h_i^T f|^2 |g h_i|^2)) / 2,
     the midpoint of the feasible splitting interval. Raises InfeasibleError
-    when the interval is empty (P_r below the required power)."""
+    when P_r is not positive and finite, when the interval is empty (P_r
+    below the required power) or when beta is NaN or outside [0, 1] beyond
+    rounding."""
+    if not 0.0 < p_r < math.inf:
+        raise InfeasibleError(f"relay power {p_r} is not positive and finite")
     const = power_constants(params, params.sigma2, params.p_c)
     betas = []
     for user, h in enumerate((channel.h1, channel.h2)):
@@ -445,15 +450,9 @@ def recover_beta(p_r, f, g, channel, params: SystemParams):
         gi = uplink_gain(g, h)
         beta = 0.5 * (1.0 + const.beta_num[user] / (params.eta * p_r * hg)
                       - const.noise_up[user] / (params.eta * p_r * hg * gi))
-        if beta < 0.0:
-            if beta < -BETA_SLACK:
-                raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")
-            beta = 0.0
-        elif beta > 1.0:
-            if beta > 1.0 + BETA_SLACK:
-                raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")
-            beta = 1.0
-        betas.append(beta)
+        if not -BETA_SLACK <= beta <= 1.0 + BETA_SLACK:
+            raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")
+        betas.append(min(max(beta, 0.0), 1.0))
     return tuple(betas)
 
 
@@ -537,8 +536,8 @@ def check_rates(report: RateReport) -> RateReport:
     others positive. At extreme SNR (about 150 dB at P_c = 10 dB) the
     uplink power eta (1 - beta) P_r |h_i^T f|^2 - 2 P_c cancels to 0 in
     floating point, and the targets are missed by whole bits although
-    every check before this one passed.
+    every check before this one passed. A NaN margin fails too.
     """
-    if any(m < -MARGIN_SLACK for m in report.margins):
+    if not all(m >= -MARGIN_SLACK for m in report.margins):
         raise InfeasibleError(f"rate targets missed: margins {report.margins}")
     return report

@@ -1,10 +1,10 @@
 """Nested-lattice primitives and a desk-scale compute-and-forward round trip.
 
-Lattices are represented by full-rank real generator matrices (columns are
-basis vectors). The instances exercised here are small: scaled-integer
-chains like Z / 4Z / 8Z, for which the nearest-point search is exact
-coordinate-wise rounding. General generators fall back to a windowed exact
-search in dimension <= 2 and Babai rounding above that.
+Lattices are diagonal: products of scaled integer lines, such as the
+chains Z^n / 4Z^n / 8Z^n that compute-and-forward nests. Their Voronoi cells
+are boxes, so the nearest-point search is exact coordinate-wise rounding
+and a codebook is a product of per-axis ranges. (Exact search on a general
+lattice needs a sphere decoder, which nothing here uses.)
 
 Voronoi boundary ties are resolved deterministically: the quantizer picks
 the lexicographically smallest of the equidistant lattice points, and the
@@ -22,12 +22,15 @@ import numpy as np
 
 from .errors import DimensionError, NestingError
 
-_TIE_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Lattice:
-    """A full-rank lattice {G k : k integer vector}."""
+    """A full-rank diagonal lattice {G k : k integer vector}, G = diag(d).
+
+    Its Voronoi cell is the box of half-widths |d_j| / 2, so the nearest
+    point, the cosets of a nested diagonal lattice and the codebook all
+    split into one question per axis (see `enumerate_codebook`).
+    """
     generator: np.ndarray
 
     def __post_init__(self):
@@ -36,6 +39,8 @@ class Lattice:
             raise DimensionError(f"generator must be square, got shape {g.shape}")
         if not np.all(np.isfinite(g)) or np.linalg.cond(g) > 1e12:
             raise DimensionError("generator must be finite and well conditioned")
+        if np.count_nonzero(g - np.diag(np.diagonal(g))):
+            raise DimensionError("generator must be diagonal")
         object.__setattr__(self, "generator", g)
 
     @property
@@ -47,23 +52,10 @@ class Lattice:
         """Covolume |det G| = volume of any fundamental domain."""
         return abs(float(np.linalg.det(self.generator)))
 
-    def is_diagonal(self) -> bool:
-        g = self.generator
-        return np.count_nonzero(g - np.diag(np.diagonal(g))) == 0
-
 
 def scaled_integers(scale: float, dim: int = 1) -> Lattice:
     """The lattice scale * Z^dim."""
     return Lattice(scale * np.eye(dim))
-
-
-def _lex_less(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x < y - 1e-15:
-            return True
-        if x > y + 1e-15:
-            return False
-    return False
 
 
 def _quantize_diagonal(diag, p):
@@ -81,38 +73,13 @@ def quantize(lat: Lattice, p) -> np.ndarray:
     n = lat.dimension
     if p.shape[0] != n:
         raise DimensionError(f"point dimension {p.shape[0]} != lattice dimension {n}")
-    g = lat.generator
-    if lat.is_diagonal():
-        return _quantize_diagonal(np.diagonal(g), p)
-    coords = np.linalg.solve(g, p)
-    base = np.round(coords).astype(int)
-    if n > 2:
-        return g @ base  # Babai rounding; exact only for near-orthogonal bases
-    best = None
-    best_d2 = np.inf
-    for offs in itertools.product(range(-3, 4), repeat=n):
-        cand = g @ (base + np.asarray(offs))
-        d2 = float(np.sum((p - cand) ** 2))
-        if d2 < best_d2 * (1 - _TIE_RTOL) or best is None:
-            best, best_d2 = cand, d2
-        elif d2 <= best_d2 * (1 + _TIE_RTOL) and _lex_less(cand, best):
-            best = cand
-    return best
+    return _quantize_diagonal(np.diagonal(lat.generator), p)
 
 
 def mod_lattice(lat: Lattice, p) -> np.ndarray:
     """p mod the lattice: the representative p - Q(p) in the Voronoi region."""
     p = np.asarray(p, dtype=float).reshape(-1)
     return p - quantize(lat, p)
-
-
-def _mod_many(lat: Lattice, pts: np.ndarray) -> np.ndarray:
-    if lat.is_diagonal():
-        diag = np.diagonal(lat.generator)
-        x = pts / diag
-        k = np.where(diag > 0, np.ceil(x - 0.5), np.floor(x + 0.5))
-        return pts - k * diag
-    return np.stack([mod_lattice(lat, p) for p in pts])
 
 
 class SecondMomentEstimate(NamedTuple):
@@ -133,7 +100,7 @@ def second_moment(lat: Lattice, samples: int, seed: int = 0) -> SecondMomentEsti
     rng = np.random.default_rng(seed)
     unit = rng.random((samples, n)) - 0.5
     pts = unit @ lat.generator.T
-    v = _mod_many(lat, pts)
+    v = pts - _quantize_diagonal(np.diagonal(lat.generator), pts)
     vals = np.sum(v * v, axis=1) / n
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
@@ -152,14 +119,15 @@ class NestedChain:
         _check_nested(self.coarse, self.mid, "coarse in mid")
 
 
-def _check_nested(sub: Lattice, sup: Lattice, what: str):
-    """Every generator column of the coarser lattice must have integer
-    coordinates in the finer one."""
+def _check_nested(sub: Lattice, sup: Lattice, what: str) -> np.ndarray:
+    """The index |s_j / f_j| of the coarser lattice's axis in the finer one's,
+    per axis; each ratio must be an integer."""
     if sub.dimension != sup.dimension:
         raise NestingError(f"{what}: dimension mismatch")
-    coords = np.linalg.solve(sup.generator, sub.generator)
-    if np.max(np.abs(coords - np.round(coords))) > 1e-9:
+    ratio = np.diagonal(sub.generator) / np.diagonal(sup.generator)
+    if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
         raise NestingError(f"{what}: subset relation violated")
+    return np.abs(np.round(ratio)).astype(int)
 
 
 @dataclass(frozen=True)
@@ -173,57 +141,22 @@ def enumerate_codebook(fine: Lattice, shaping: Lattice) -> list:
 
     Entries are one representative per coset of the shaping lattice, in
     lexicographic order, with boundary cosets resolved to their
-    lexicographically smallest closed-Voronoi member. The count must equal
-    the covolume ratio.
+    lexicographically smallest closed-Voronoi member. The count equals the
+    covolume ratio.
+
+    Both lattices are diagonal, so the closed Voronoi cell is a box and the
+    cosets split per axis. On axis j, with index m = |s_j / f_j|, the closed
+    cell holds k |f_j| for integers |k| <= m / 2; for even m the boundary
+    pair -m/2, m/2 is one coset, and keeping -m/2 on every boundary axis
+    gives the lexicographic minimum. So axis j contributes k |f_j| for k in
+    [-floor(m/2), m - floor(m/2)), and the product of the sorted axes is in
+    lexicographic order.
     """
-    _check_nested(shaping, fine, "shaping in fine")
-    n = fine.dimension
-    size_f = fine.volume
-    size_s = shaping.volume
-    expected = size_s / size_f
-    if abs(expected - round(expected)) > 1e-6:
-        raise NestingError(f"covolume ratio {expected} is not an integer")
-    expected = int(round(expected))
-
-    # Candidate fine points: integer coordinates covering an inflated shaping cell.
-    corners = np.asarray(list(itertools.product([-1.5, 1.5], repeat=n)))
-    pts = corners @ shaping.generator.T
-    coords = np.linalg.solve(fine.generator, pts.T).T
-    lo = np.floor(coords.min(axis=0)).astype(int) - 1
-    hi = np.ceil(coords.max(axis=0)).astype(int) + 1
-
-    # Shaping points near the origin, for the closed-Voronoi membership test.
-    near = [shaping.generator @ np.asarray(k)
-            for k in itertools.product(range(-2, 3), repeat=n)
-            if any(k)]
-
-    members = []
-    for k in itertools.product(*[range(a, b + 1) for a, b in zip(lo, hi)]):
-        p = fine.generator @ np.asarray(k, dtype=float)
-        d0 = float(np.sum(p * p))
-        scale = max(1.0, d0)
-        if all(d0 <= float(np.sum((p - lam) ** 2)) + _TIE_RTOL * scale for lam in near):
-            members.append(p)
-
-    # Group by coset of the shaping lattice; keep the lexicographic minimum.
-    chosen = []
-    for p in members:
-        placed = False
-        for idx, q in enumerate(chosen):
-            diff = np.linalg.solve(shaping.generator, p - q)
-            if np.max(np.abs(diff - np.round(diff))) < 1e-9:
-                if _lex_less(p, q):
-                    chosen[idx] = p
-                placed = True
-                break
-        if not placed:
-            chosen.append(p)
-
-    if len(chosen) != expected:
-        raise NestingError(f"enumerated {len(chosen)} codewords, expected {expected}; "
-                           "enumeration window too small or nesting inconsistent")
-    chosen.sort(key=lambda p: tuple(p))
-    return [CodebookEntry(point=p, index=i) for i, p in enumerate(chosen)]
+    index = _check_nested(shaping, fine, "shaping in fine")
+    axes = [np.arange(-(m // 2), m - m // 2) * abs(f)
+            for m, f in zip(index, np.diagonal(fine.generator))]
+    return [CodebookEntry(point=np.array(p), index=i)
+            for i, p in enumerate(itertools.product(*axes))]
 
 
 def mmse_alpha(p1g1: float, p2g2: float, sigma2: float) -> float:

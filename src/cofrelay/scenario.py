@@ -48,10 +48,10 @@ def power_from_db(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def _power_in_range(db: float) -> bool:
-    """Whether `power_from_db` is positive and finite, about -3233 to 3082."""
+def _positive_finite(f, x) -> bool:
+    """Whether f(x) is positive and finite; an OverflowError is neither."""
     try:
-        return power_from_db(db) > 0.0
+        return 0.0 < f(x) < math.inf
     except OverflowError:
         return False
 
@@ -83,17 +83,25 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
-        # the noise power is that of -snr_db, the circuit power that of pc_dbm
-        for name, db in (("snr_db", -self.snr_db), ("pc_dbm", self.pc_dbm)):
-            if not _power_in_range(db):
-                raise ConfigError(f"{name} gives no positive finite power, "
-                                  f"got {getattr(self, name)!r}")
         if not 0 < self.eta <= 1:
             raise ConfigError(f"eta must lie in (0, 1], got {self.eta!r}")
+        # theta = 2^(2 r) of `design.rate_thresholds` is finite below r = 512
         for name in ("r1_bar", "r2_bar"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, "
-                                  f"got {getattr(self, name)!r}")
+            r = getattr(self, name)
+            if not (r > 0 and _positive_finite(lambda v: 2.0 ** (2.0 * v), r)):
+                raise ConfigError(f"{name} must be positive with 2^(2 {name}) "
+                                  f"finite, got {r!r}")
+        # sigma2 = power_from_db(-snr_db) and P_c = power_from_db(pc_dbm) must
+        # be positive, and `design.power_constants`' sigma2 theta_{i,r} and
+        # 2 P_c / eta finite: above about -3070 dB and below 3079 dBm at the
+        # defaults
+        theta = 2.0 ** (2.0 * max(self.r1_bar, self.r2_bar))
+        constant = {"snr_db": lambda db: power_from_db(-db) * theta,
+                    "pc_dbm": lambda db: 2.0 * power_from_db(db) / self.eta}
+        for name, f in constant.items():
+            if not _positive_finite(f, getattr(self, name)):
+                raise ConfigError(f"{name} gives no positive finite power "
+                                  f"constants, got {getattr(self, name)!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
         if self.max_iter < 1:
@@ -112,10 +120,10 @@ class ScenarioConfig:
         self.axis_values = tuple(float(v) for v in self.axis_values)
         if not all(map(math.isfinite, self.axis_values)):
             raise ConfigError(f"axis_values must be finite, got {self.axis_values}")
-        sign = {"snr": -1.0, "pc": 1.0}.get(self.axis)
-        if sign and not all(_power_in_range(sign * v) for v in self.axis_values):
-            raise ConfigError("axis_values give no positive finite power, "
-                              f"got {self.axis_values}")
+        f = constant.get({"snr": "snr_db", "pc": "pc_dbm"}.get(self.axis))
+        if f and not all(_positive_finite(f, v) for v in self.axis_values):
+            raise ConfigError("axis_values give no positive finite power "
+                              f"constants, got {self.axis_values}")
         if self.axis != "none" and not self.axis_values:
             raise ConfigError("axis sweep requested but axis_values is empty")
         # a repeated point would pool the same channels twice in its summary

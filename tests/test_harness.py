@@ -235,6 +235,27 @@ class TestBatchParity:
         assert {r.status for r in records if r.snr_db == 20.0} == {"ok"}
         assert [s.failures for s in summaries] == [0, 3] * 4
 
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    def test_overflowing_constants_fail(self, equal_gain):
+        # near the noise-power bound of `ScenarioConfig`, a_i or the uplink
+        # power overflows on weak channels: P_r is inf, or s / tot and so a
+        # margin is NaN; both paths fail those records, and no ok record
+        # holds a non-finite value
+        cfg = ScenarioConfig(n=4, trials=100, master_seed=1234, axis="snr",
+                             axis_values=(-3040.0, -3060.0),
+                             equal_gain=equal_gain)
+        records, _ = harness.run_sweep(cfg)
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                    for t in range(cfg.trials)]
+        _assert_parity(records, cfg, channels)
+        for r in records:
+            if r.status == "ok":
+                values = (r.p_r_db, r.beta1, r.beta2) + r.margins()
+                assert all(map(math.isfinite, values)), r
+        assert {r.status for r in records} == {"ok", "failed:InfeasibleError"}
+        for snr_db in cfg.axis_values:
+            assert any(r.status != "ok" for r in records if r.snr_db == snr_db)
+
     @pytest.mark.parametrize("scale", (0.5, 2.0))
     def test_splitting_check_off_the_required_power(self, scale):
         # A sweep always runs at the required power, where both splitting
@@ -770,7 +791,16 @@ class TestCli:
                       ["solve", "--pc-dbm", "4000"],
                       ["solve", "--snr-db", "4000"],
                       ["sweep", "--axis", "snr", "--axis-values", "0,4000"],
-                      ["sweep", "--axis", "pc", "--axis-values", "0,4000"]]
+                      ["sweep", "--axis", "pc", "--axis-values", "0,4000"],
+                      # beyond these, 2^(2 r), sigma2 theta_{i,r} or
+                      # 2 P_c / eta overflows
+                      ["solve", "--r1-bar", "600"],
+                      ["sweep", "--r1-bar", "600"],
+                      ["solve", "--snr-db=-3080"],
+                      ["solve", "--pc-dbm", "3080"],
+                      ["sweep", "--axis", "snr",
+                       "--axis-values=-3020,-3040,-3080"],
+                      ["sweep", "--axis", "pc", "--axis-values", "0,3080"]]
                      + [[cmd] + flags for cmd in ("sweep", "solve")
                         for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE

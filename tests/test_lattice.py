@@ -17,13 +17,22 @@ def brute_force_codebook_1d(fine_scale, shaping_scale):
     """Independent enumeration: integers inside the shaping Voronoi cell,
     boundary cosets resolved to the lexicographically smaller member."""
     half = shaping_scale / 2.0
+    reach = int(2 * shaping_scale / fine_scale) + 1
     pts = []
-    for k in np.arange(-2 * shaping_scale, 2 * shaping_scale + 1, fine_scale):
-        if -half <= k < half:
-            pts.append(float(k))
-        elif k == half:  # the +boundary point loses to its -boundary twin
+    for x in (k * fine_scale for k in range(-reach, reach + 1)):
+        if -half <= x < half:
+            pts.append(float(x))
+        elif x == half:  # the +boundary point loses to its -boundary twin
             pts.append(-half)
     return sorted(set(pts))
+
+
+def brute_force_codebook(fine_diag, shaping_diag):
+    """The product of the per-axis `brute_force_codebook_1d` enumerations,
+    sorted lexicographically: the codebook of a diagonal chain."""
+    axes = [brute_force_codebook_1d(abs(f), abs(s))
+            for f, s in zip(fine_diag, shaping_diag)]
+    return sorted(itertools.product(*axes))
 
 
 class TestQuantize:
@@ -41,18 +50,20 @@ class TestQuantize:
         assert lattice.quantize(Z4, [-2.0])[0] == -4.0
         assert lattice.quantize(Z8, [4.0])[0] == 0.0
 
-    def test_general_generator_matches_diagonal(self):
-        # a rotated Z^2 copy: exact windowed search must agree with the
-        # rotation of the diagonal answer
+    def test_general_generator_rejected(self):
+        # a rotated Z^2 copy: only products of scaled integer lines are
+        # lattices here
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        lat = lattice.Lattice(rot)
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            p = rng.uniform(-4, 4, 2)
-            q = lattice.quantize(lat, p)
-            expected = rot @ np.round(rot.T @ p)
-            assert np.allclose(q, expected, atol=1e-12)
+        with pytest.raises(DimensionError):
+            lattice.Lattice(rot)
+
+    def test_tie_on_negative_diagonal(self):
+        # diag(-4, -0.5): halfway points still go to the smaller coordinate
+        lat = lattice.Lattice(np.diag([-4.0, -0.5]))
+        assert np.array_equal(lattice.quantize(lat, [2.0, 0.25]), [0.0, 0.0])
+        assert np.array_equal(lattice.quantize(lat, [-2.0, -0.25]), [-4.0, -0.5])
+        assert np.array_equal(lattice.quantize(lat, [6.0, 0.75]), [4.0, 0.5])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -129,6 +140,21 @@ class TestCodebook:
         got = [tuple(e.point) for e in lattice.enumerate_codebook(Z2, shaping)]
         assert got == expected
         assert len(got) == 4
+
+    @pytest.mark.parametrize("fine,shaping", [
+        ((0.5, -1.0), (1.5, 3.0)),
+        ((0.1, 0.1), (0.2, 0.3)),
+        ((1.0, -1.0, 0.5), (4.0, 3.0, -2.0)),
+        ((-1.0, 0.25, 2.0), (2.0, -1.0, 6.0))])
+    def test_product_chain_matches_brute_force(self, fine, shaping):
+        # negative and non-integer scales, odd and even indices per axis
+        got = lattice.enumerate_codebook(lattice.Lattice(np.diag(fine)),
+                                         lattice.Lattice(np.diag(shaping)))
+        expected = brute_force_codebook(fine, shaping)
+        assert len(got) == len(expected)
+        assert [e.index for e in got] == list(range(len(got)))
+        for e, p in zip(got, expected):
+            assert np.allclose(e.point, p, rtol=0.0, atol=1e-12)
 
     def test_size_matches_covolume_ratio(self):
         for fine_s, shape_s in ((1.0, 3.0), (1.0, 5.0), (2.0, 8.0)):

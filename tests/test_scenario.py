@@ -100,18 +100,29 @@ class TestConfig:
         ("pc_dbm", 4000.0), ("pc_dbm", -4000.0),
         pytest.param("axis_values", (math.nan,), id="axis_values-nan"),
         pytest.param("axis_values", (10.0, math.inf), id="axis_values-inf"),
-        pytest.param("axis_values", (1e400,), id="axis_values-1e400")])
+        pytest.param("axis_values", (1e400,), id="axis_values-1e400"),
+        # 2^(2 r) overflows; sigma2 = 1e308 and P_c = 1e308 are finite, but
+        # sigma2 theta_{i,r} and 2 P_c / eta are not
+        ("r1_bar", 600.0), ("r2_bar", 512.0), ("snr_db", -3080.0),
+        ("pc_dbm", 3080.0),
+        pytest.param("axis_values", {"axis": "snr", "axis_values": (0.0, -3080.0)},
+                     id="axis_values-snr-3080"),
+        pytest.param("axis_values", {"axis": "pc", "axis_values": (0.0, 3080.0)},
+                     id="axis_values-pc-3080")])
     def test_out_of_range_rejected(self, key, value):
         # SystemParams and SeedSequence would raise a bare ValueError later,
-        # dB values this far out overflow or underflow in `power_from_db`,
-        # and max_iter = 0 would leave the alternation without a design; a
-        # sweep builds its points' parameters from the axis values unchecked
+        # dB values this far out overflow or underflow in `power_from_db` or
+        # in the power constants, and max_iter = 0 would leave the
+        # alternation without a design; a sweep builds its points' parameters
+        # from the axis values unchecked. A dict value is a set of keys.
+        fields = value if isinstance(value, dict) else {key: value}
         with pytest.raises(ConfigError):
-            scenario.ScenarioConfig(**{key: value})
-        if isinstance(value, tuple):
-            value = ",".join(map(repr, value))
+            scenario.ScenarioConfig(**fields)
+        text = "".join(
+            f"{k}={','.join(map(repr, v)) if isinstance(v, tuple) else v}\n"
+            for k, v in fields.items())
         with pytest.raises(ConfigError):
-            scenario.parse_config(f"{key}={value}\n")
+            scenario.parse_config(text)
 
     def test_range_edges_accepted(self):
         cfg = scenario.ScenarioConfig(eta=1.0, r1_bar=1e-3, r2_bar=1e-3,
