@@ -236,11 +236,13 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
     beta = 0.5 * (1.0 + pts.beta_num / d - k)
     bad = ((lo > hi + BETA_SLACK) | (beta < -BETA_SLACK)
            | (beta > 1.0 + BETA_SLACK))
-    board.fail(bad[0] | bad[1], InfeasibleError)
+    # `design.recover_beta`, whose first check is a positive, finite P_r
+    board.require((0.0 < p_r) & (p_r < math.inf) & ~(bad[0] | bad[1]),
+                  InfeasibleError)
     beta = np.minimum(np.maximum(beta, 0.0), 1.0)
     for v in (f, g):  # the unit-norm check of `design.TransceiverDesign`
         norm = np.sqrt((np.abs(v) ** 2).sum(axis=-1))
-        board.fail(np.abs(norm - 1.0) > UNIT_NORM_TOL, ValueError)
+        board.require(np.abs(norm - 1.0) <= UNIT_NORM_TOL, ValueError)
 
     s = np.maximum(eta * (1.0 - beta) * p_r * down - pts.two_pc, 0.0) * up
     tot = s[0] + s[1]
@@ -248,9 +250,9 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
                                           + s / sigma2))
     r_down = 0.5 * np.log2(1.0 + beta * p_r * down / sigma2)
     margins = np.concatenate([r_up, r_down]) - pts.targets
-    # `design.check_rates`; a non-finite P_r fails here too, since it makes
-    # both s infinite or NaN, and so s / tot and the uplink rates NaN
-    board.require((margins >= -MARGIN_SLACK).all(axis=0), InfeasibleError)
+    # `design.check_rates`: a margin below -MARGIN_SLACK, NaN or +inf fails
+    board.require(((margins >= -MARGIN_SLACK) & (margins < math.inf))
+                  .all(axis=0), InfeasibleError)
 
     if not board.ok.all():
         bad = ~board.ok

@@ -469,7 +469,7 @@ class TransceiverDesign:
     def __post_init__(self):
         for name, v in (("f", self.f), ("g", self.g)):
             nrm = float(np.linalg.norm(v))
-            if abs(nrm - 1.0) > UNIT_NORM_TOL:
+            if not abs(nrm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
                 raise ValueError(f"{name} must have unit norm, got {nrm}")
         for b in self.beta:
             if not -1e-12 <= b <= 1 + 1e-12:
@@ -536,8 +536,10 @@ def check_rates(report: RateReport) -> RateReport:
     others positive. At extreme SNR (about 150 dB at P_c = 10 dB) the
     uplink power eta (1 - beta) P_r |h_i^T f|^2 - 2 P_c cancels to 0 in
     floating point, and the targets are missed by whole bits although
-    every check before this one passed. A NaN margin fails too.
+    every check before this one passed. A NaN margin fails too, as does
+    +inf, where a received power overflows at huge SNR and circuit power.
     """
-    if not all(m >= -MARGIN_SLACK for m in report.margins):
-        raise InfeasibleError(f"rate targets missed: margins {report.margins}")
+    if not all(-MARGIN_SLACK <= m < math.inf for m in report.margins):
+        raise InfeasibleError("rate targets missed or margins not finite: "
+                              f"margins {report.margins}")
     return report

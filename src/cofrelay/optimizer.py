@@ -7,8 +7,8 @@ gives it for one record (`joint_combiner`, which turns it into the
 vector) and for every record of a sweep (`batch.solve`) alike. With equal
 rate targets both users' constraints have the same constants, so the
 angle is the closed-form max-min gain point of the frontier, where f = g;
-with unequal targets it is one array search, a grid refined by
-golden-section search over all records at once. `alternate`
+with unequal targets it is one golden-section search over [0, psi_max]
+for all records at once. `alternate`
 keeps the paper's iterative algorithm, which alternates the beamformer
 and combiner subproblems until the relay power stalls and is only
 locally optimal; the oracle check compares it with
@@ -35,7 +35,6 @@ from .errors import (DegenerateChannelError, InfeasibleError,
 DEFAULT_MAX_ITER = 50
 DEFAULT_REL_TOL = 1e-5
 
-GRID_POINTS = 257
 ANGLE_TOL = 1e-13
 
 
@@ -216,11 +215,13 @@ def joint_angles(n1, a, c, psi_max, k, b):
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def angle_search(n1, a, c, psi_max, k, b):
     """`joint_angles` by search, for any rate targets and all records at
-    once: P* on a uniform grid of GRID_POINTS angles, then golden-section
-    search in the bracket around each record's best grid point, one new
-    angle per record and pass until the bracket is ANGLE_TOL wide. The
-    better of the two points is kept, so the result is never above the
-    grid minimum.
+    once: golden-section search (Kiefer 1953) over [0, psi_max], one new
+    angle per record and pass until the bracket is ANGLE_TOL wide, then
+    the better inner point. It needs P*(psi) to have one local minimum;
+    that is unproved, but held at 4001 angles on every probed record
+    (fig2/fig3 at six target pairs, N = 2-16, and 20 000 random draws),
+    and `TestUnequalTargetCertificate` certifies the angles by branch
+    and bound on the presets and on random draws.
     """
     (k1, k2), (b1, b2) = k, b
 
@@ -228,21 +229,14 @@ def angle_search(n1, a, c, psi_max, k, b):
         cos, sin = np.cos(psi), np.sin(psi)
         x1 = (n1 * cos) ** 2
         x2 = (a * cos + c * sin) ** 2
-        # x2 is 0 at psi = 0 on orthogonal channels; the mask drops it
+        # x2 -> 0 as psi -> 0 on orthogonal channels; the mask drops it
         _, level = frontier_crossings(n1, a, c, (k1 / x1 + b1, k2 / x2 + b2),
                                       (0.0, 0.0))
         return np.where((x1 > GAIN_FLOOR) & (x2 > GAIN_FLOOR), level, math.inf)
 
-    shape = np.broadcast_shapes(*map(np.shape, (n1, a, c, psi_max, k1, k2,
-                                                b1, b2)))
-    psi = np.linspace(0.0, np.broadcast_to(psi_max, shape), GRID_POINTS)
-    grid = power(psi)
-    j = np.argmin(grid, axis=0)[None]
-    best = np.take_along_axis(psi, j, 0)[0]
-    p_best = np.take_along_axis(grid, j, 0)[0]
-    lo = np.take_along_axis(psi, np.maximum(j - 1, 0), 0)[0]
-    hi = np.take_along_axis(psi, np.minimum(j + 1, GRID_POINTS - 1), 0)[0]
-
+    lo = np.zeros(np.broadcast_shapes(*map(np.shape, (n1, a, c, psi_max, k1,
+                                                      k2, b1, b2))))
+    hi = lo + psi_max
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x_c, x_d = hi - inv * (hi - lo), lo + inv * (hi - lo)
     f_c, f_d = power(x_c), power(x_d)
@@ -259,9 +253,7 @@ def angle_search(n1, a, c, psi_max, k, b):
             np.where(active, np.where(left, x_c, x), x_d),
             np.where(active, np.where(left, f_c, f), f_d))
         active &= hi - lo > ANGLE_TOL
-    refined = f_c <= f_d
-    x, f = np.where(refined, x_c, x_d), np.where(refined, f_c, f_d)
-    return np.where(f < p_best, x, best)
+    return np.where(f_c <= f_d, x_c, x_d)
 
 
 class SchemeResult:

@@ -640,6 +640,28 @@ class TestRates:
             assert all(m >= -1e-6 for m in rep.margins)
             assert rep.margins[0] > 0 and rep.margins[1] > 0  # gamma slack
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -1.0),
+                             ids=("nan", "inf", "missed"))
+    def test_check_rates_rejects(self, bad):
+        # +inf arises where a received power overflows at huge SNR and
+        # circuit power; no margin that is not finite passes
+        report = design.RateReport(r_up=(1.0, 1.0), r_down=(1.0, 1.0),
+                                   margins=(0.0, 0.5, bad, 0.0), alpha=1.0,
+                                   gamma=(0.5, 0.5))
+        with pytest.raises(InfeasibleError):
+            design.check_rates(report)
+        ok = design.RateReport(**{**vars(report), "margins": (0.0, 0.5, 1.0,
+                                                              -1e-7)})
+        assert design.check_rates(ok) is ok
+
+    def test_nan_vector_not_unit_norm(self):
+        # a NaN combiner, as when rho_i overflows, is not a unit vector
+        for f, g in ((np.full(2, np.nan + 0j), SPLIT),
+                     (SPLIT, np.full(2, np.nan + 0j))):
+            with pytest.raises(ValueError, match="unit norm"):
+                design.TransceiverDesign(f=f, g=g, p_r=1.0, beta=(0.5, 0.5),
+                                         p_uplink=(1.0, 1.0))
+
     def test_margins_monotone_in_power(self):
         rng = np.random.default_rng(16)
         ch = rand_channel(7)

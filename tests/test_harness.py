@@ -62,6 +62,20 @@ class TestSweep:
         assert len(records) == 2
         assert summaries[0].trials + summaries[0].failures == cfg.trials
 
+    def test_unequal_target_sweep_in_bounded_memory(self):
+        # scheme 1's angle search keeps a few (P, T) arrays per pass; an
+        # angle grid over all 7000 records of each scheme-1 solve would
+        # hold (257, P, T) ones, about 175 MB here
+        cfg = fig2_preset(r1_bar=1.0, r2_bar=3.0, trials=1000)
+        tracemalloc.start()
+        try:
+            records, _ = harness.run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 4 * 7000
+        assert peak < 40e6
+
     def test_scheme_mean_ordering(self):
         cfg = small_cfg(trials=5)
         records, summaries = harness.run_sweep(cfg)
@@ -146,6 +160,14 @@ def _assert_parity(records, cfg, channels):
         assert abs(10.0 ** (r.p_r_db / 10.0) / p_r - 1.0) <= P_R_TOL, where
         assert np.max(np.abs(np.subtract((r.beta1, r.beta2), betas))) <= BETA_TOL
         assert np.max(np.abs(np.subtract(r.margins(), margins))) <= MARGIN_TOL
+
+
+def _assert_ok_finite(records):
+    """No ``ok`` record holds a non-finite P_r, beta or margin."""
+    for r in records:
+        if r.status == "ok":
+            values = (r.p_r_db, r.beta1, r.beta2) + r.margins()
+            assert all(map(math.isfinite, values)), r
 
 
 EDGE_H1 = np.array([0.3 - 1.1j, 0.8 + 0.2j, -0.4 + 0.5j])
@@ -248,13 +270,45 @@ class TestBatchParity:
         channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                     for t in range(cfg.trials)]
         _assert_parity(records, cfg, channels)
-        for r in records:
-            if r.status == "ok":
-                values = (r.p_r_db, r.beta1, r.beta2) + r.margins()
-                assert all(map(math.isfinite, values)), r
+        _assert_ok_finite(records)
         assert {r.status for r in records} == {"ok", "failed:InfeasibleError"}
         for snr_db in cfg.axis_values:
             assert any(r.status != "ok" for r in records if r.snr_db == snr_db)
+        if equal_gain == "unphased":
+            # rho_i overflows, so scheme 3's combiner and P_r are NaN; both
+            # paths check P_r before the unit norm, and fail it as infeasible
+            rec, = (r for r in records
+                    if (r.scheme, r.snr_db, r.trial) == (3, -3060.0, 16))
+            assert rec.status == "failed:InfeasibleError"
+
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    def test_overflowing_rates_fail(self, equal_gain):
+        # at huge SNR and circuit power the received powers overflow to
+        # inf while P_r and the betas are finite, so rate margins are +inf;
+        # both paths fail those records
+        cfg = ScenarioConfig(n=4, trials=100, master_seed=1234, axis="pc",
+                             axis_values=(3000.0, 3030.0, 3060.0),
+                             snr_db=3000.0, equal_gain=equal_gain)
+        records, _ = harness.run_sweep(cfg)
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                    for t in range(cfg.trials)]
+        _assert_parity(records, cfg, channels)
+        _assert_ok_finite(records)
+        assert {r.status for r in records} == {"failed:InfeasibleError"}
+
+    def test_nan_vector_fails_unit_norm(self):
+        # `design.TransceiverDesign` rejects a NaN vector with ValueError,
+        # and so does the batch at a P_r that passes its own check
+        channels = [gen_channel(trial_seed(3, t), 4) for t in range(4)]
+        points = batch.OperatingPoints(
+            [_point_params(ScenarioConfig(), 20.0, 10.0)])
+        w, up, down = batch.ChannelBatch(channels).equal_gain(True)
+        g = w.copy()
+        g[1] = np.nan
+        res = batch._tail(points, batch._Board((1, len(channels))), w, g,
+                          up, down, points.rhs(up))
+        assert res.status.tolist() == [["ok", "failed:ValueError", "ok",
+                                        "ok"]]
 
     @pytest.mark.parametrize("scale", (0.5, 2.0))
     def test_splitting_check_off_the_required_power(self, scale):

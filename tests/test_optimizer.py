@@ -272,8 +272,9 @@ class TestJointDesign:
     @pytest.mark.parametrize("targets", ((0.5, 1.0), (1.0, 0.5)),
                              ids=("r1-below", "r1-above"))
     def test_orthogonal_unequal_targets(self, targets):
-        # the angle search's grid has a zero uplink gain toward user 2 at
-        # psi = 0; the suite turns a RuntimeWarning there into an error
+        # the uplink gain toward user 2 vanishes at psi = 0, the low end of
+        # the angle search's interval; the suite turns a RuntimeWarning
+        # there into an error
         par = dataclasses.replace(ORTH, r1_bar=targets[0], r2_bar=targets[1])
         p = joint_power(ORTH_CH, par)
         assert p <= harness.oracle_grid(ORTH_CH, par, resolution=256) * (
@@ -325,9 +326,10 @@ def _combiner_power(ch, par, basis, psi):
     return design.required_power(f, g, ch, par)
 
 
-def _random_equal_target_case(rng):
-    """One random channel and equal-target operating point: a tenth of the
-    channels nearly collinear, a tenth nearly orthogonal."""
+def _random_case(rng, equal_targets=True):
+    """One random channel and operating point: a tenth of the channels
+    nearly collinear, a tenth nearly orthogonal, and the rate targets
+    equal or drawn independently from (0.1, 6)."""
     n = int(rng.choice((2, 3, 4, 8, 16)))
 
     def gauss():
@@ -341,12 +343,13 @@ def _random_equal_target_case(rng):
     elif kind < 0.2:
         h2 = h2 - np.vdot(h1, h2) / np.vdot(h1, h1) * h1 + eps * h1
     h2 = h2 * 10.0 ** rng.uniform(-2, 2)
-    r = float(rng.uniform(0.1, 6.0))
+    r1 = float(rng.uniform(0.1, 6.0))
+    r2 = r1 if equal_targets else float(rng.uniform(0.1, 6.0))
     par = design.SystemParams(
         N=n, eta=float(10.0 ** rng.uniform(-3, 0)),
         p_c=float(10.0 ** (rng.uniform(-60, 25) / 10.0)),
         sigma2=float(10.0 ** (-rng.uniform(-10, 50) / 10.0)),
-        r1_bar=r, r2_bar=r)
+        r1_bar=r1, r2_bar=r2)
     return ChannelRealization(h1=h1, h2=h2, seed=0), par
 
 
@@ -375,7 +378,7 @@ class TestEqualTargetClosedForm:
 
     def test_random_draws(self):
         rng = np.random.default_rng(20261018)
-        self._check([_random_equal_target_case(rng) for _ in range(1000)])
+        self._check([_random_case(rng) for _ in range(1000)])
 
     def test_unequal_targets_need_the_search(self):
         # with unequal targets f = g at the max-min gain point can lie well
@@ -410,7 +413,10 @@ def _crossing_level(n1, a, c, a1, a2):
 class TestUnequalTargetCertificate:
     """Scheme 1's angle at unequal rate targets is the global optimum,
     certified by branch and bound over the angle (monotonic optimization,
-    Tuy 2000) without the search's grid or bracket.
+    Tuy 2000), independently of the golden-section search that found it.
+    That search assumes one minimum of P*(psi) on [0, psi_max], so the
+    certificate covers random draws beyond the presets, including records
+    whose optimum is the end psi = 0.
 
     On [0, psi_max] the combiner's uplink gain toward user 1 falls and
     that toward user 2 rises, so a1(psi) rises and a2(psi) falls, and the
@@ -420,12 +426,10 @@ class TestUnequalTargetCertificate:
     found power; a midpoint below that refutes the found angle.
     """
 
-    @pytest.mark.parametrize("targets", ((1.0, 3.0), (3.0, 1.0)),
-                             ids=("r1-below", "r1-above"))
-    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
-                             ids=("fig2", "fig3"))
-    def test_preset_records(self, preset, targets):
-        cases = _preset_cases(preset, r1_bar=targets[0], r2_bar=targets[1])
+    @staticmethod
+    def _certify(cases):
+        """Certify `optimizer.joint_angles` on ``cases``; return its angles
+        and the psi_max of each case."""
         _, (n1, a, c, psi_max, k, b) = _angle_inputs(cases)
         psi = optimizer.joint_angles(n1, a, c, psi_max, k, b)
 
@@ -459,3 +463,21 @@ class TestUnequalTargetCertificate:
                     (rec, rec), (lo, mid), (mid, hi), (a1_lo, a1_mid),
                     (a2_mid, a2_hi)))
         assert rec.size == 0
+        return psi, psi_max
+
+    @pytest.mark.parametrize("targets", ((1.0, 3.0), (3.0, 1.0)),
+                             ids=("r1-below", "r1-above"))
+    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
+                             ids=("fig2", "fig3"))
+    def test_preset_records(self, preset, targets):
+        self._certify(_preset_cases(preset, r1_bar=targets[0],
+                                    r2_bar=targets[1]))
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(20261019)
+        cases = [_random_case(rng, equal_targets=False) for _ in range(1000)]
+        assert all(par.r1_bar != par.r2_bar for _, par in cases)
+        psi, psi_max = self._certify(cases)
+        # the draws reach both an optimum at the end psi = 0 and one inside
+        at_zero = psi < 1e-9 * psi_max
+        assert 0 < at_zero.sum() < len(cases)
