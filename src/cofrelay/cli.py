@@ -161,8 +161,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_check(args) -> int:
     if args.n not in (None, 2):
         raise _UsageError("oracle-check supports --n 2 only")
-    if args.resolution < 32:
-        raise _UsageError("--resolution must be at least 32")
+    if not harness.MIN_RESOLUTION <= args.resolution <= harness.MAX_RESOLUTION:
+        raise _UsageError(f"--resolution must be in [{harness.MIN_RESOLUTION}, "
+                          f"{harness.MAX_RESOLUTION}]")
     if args.channels < 1:
         raise _UsageError("--channels must be at least 1")
     cfg = with_overrides(_build_config(args), n=2)

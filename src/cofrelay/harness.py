@@ -42,6 +42,10 @@ _ROW_FORMAT = ",".join(
 # one summary.csv row: (scheme, snr_db, pc_dbm, mean_p_r_db, stderr_p_r_db,
 # trials, failures)
 _SUMMARY_ROW_FORMAT = "%d,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
+# bounds on the N=2 grid oracle's resolution; at the upper one the grid
+# holds 4.2 M vectors, about 134 MB
+MIN_RESOLUTION = 32
+MAX_RESOLUTION = 2048
 
 
 @dataclass
@@ -265,6 +269,13 @@ def pareto_front(x, y) -> np.ndarray:
     point is pruned, and as the running minimum before a point is the y of
     the last kept point before it, the pruned pass returns the same indices
     in the same order.
+
+    The survivors are sorted by x alone, by a stable sort. Points of equal
+    x then stay in index order, which is the two-key order too when they
+    also share y (exact copies, such as the oracle grid's t = 0 row and its
+    pole). Only when two neighbours in that order share x but not y is the
+    two-key `np.lexsort` run. Either way the same indices come back in the
+    same order.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -277,8 +288,11 @@ def pareto_front(x, y) -> np.ndarray:
         keep = (xs < xs[k]) | (ys < ys[k])
         keep[k] = True
         idx = idx[keep]
-    order = idx[np.lexsort((y[idx], x[idx]))]
-    ys = y[order]
+    order = idx[np.argsort(x[idx], kind="stable")]
+    xs, ys = x[order], y[order]
+    if np.any((xs[1:] == xs[:-1]) & (ys[1:] != ys[:-1])):
+        order = idx[np.lexsort((y[idx], x[idx]))]
+        ys = y[order]
     keep = np.ones(len(ys), dtype=bool)
     keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
     return order[keep]
@@ -299,6 +313,53 @@ def _grid(resolution: int) -> np.ndarray:
     return vecs
 
 
+@functools.lru_cache(maxsize=2)
+def _gain_front(resolution: int, h1: bytes, h2: bytes):
+    """The gains (hd1, hd2) of the Pareto front of the N=2 oracle grid
+    toward the channel whose complex128 bytes are h1 and h2, read-only,
+    in ascending hd2 (so descending hd1). Gains at or below 1e-30 drop out.
+    They depend on no operating point, so the two latest channels are
+    cached."""
+    vecs = _grid(resolution)
+    hd = []
+    for h in (h1, h2):
+        g = np.abs(vecs @ np.frombuffer(h, dtype=np.complex128)) ** 2
+        # degenerate grid vectors (zero gain toward a user) drop out as NaN
+        hd.append(np.where(g > 1e-30, g, np.nan))
+    front = pareto_front(-hd[0], -hd[1])
+    hd1, hd2 = hd[0][front], hd[1][front]
+    hd1.flags.writeable = False
+    hd2.flags.writeable = False
+    return hd1, hd2
+
+
+def _min_max_product(inv1, a1, inv2, a2) -> float:
+    """min over f, g of max(inv1[f] a1[g], inv2[f] a2[g]), for positive
+    inv1 and a1 non-decreasing and inv2 and a2 non-increasing, without the
+    F x F product. In row f, A[g] = inv1[f] a1[g] never falls and
+    B[g] = inv2[f] a2[g] never rises (rounding a product by a positive
+    factor keeps order), so with g* the first column where A >= B the row's
+    minimum is min(A[g*], B[g*-1]), the same floats the full product holds.
+    g* is found for all rows at once by bisection, one pass per bit of F.
+    """
+    n = len(a1)
+    size = 1 << n.bit_length()
+    # columns past the last have A = inf and B = 0, so A < B never holds
+    a1p = np.full(size, np.inf)
+    a1p[:n] = a1
+    a2p = np.zeros(size)
+    a2p[:n] = a2
+    last = np.full(len(inv1), -1, dtype=np.intp)  # last column with A < B
+    step = size >> 1
+    while step:
+        at = last + step
+        last = np.where(inv1 * a1p[at] < inv2 * a2p[at], at, last)
+        step >>= 1
+    up = inv1 * a1p[last + 1]
+    down = np.where(last >= 0, inv2 * a2p[last], np.inf)
+    return float(min(np.min(up), np.min(down)))
+
+
 def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     """Exhaustive minimum of the required relay power over unit f and g,
     N = 2 only.
@@ -306,7 +367,8 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     After gauging away global phases, each vector is (cos t, sin t e^{j phi});
     the grid covers t in [0, pi/2) and phi in [0, 2 pi) at the given
     resolution, with the two coordinate poles always appended so that doubling
-    the resolution refines the candidate set monotonically (`_grid`).
+    the resolution refines the candidate set monotonically (`_grid`). The
+    resolution must lie in [MIN_RESOLUTION, MAX_RESOLUTION].
 
     The power of a pair is max(inv1[f] a1[g], inv2[f] a2[g]) with
     inv_i = 1/hd_i and a_i = k_i/hd_i + b_i, where hd_i is the gain of the
@@ -319,16 +381,22 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     Pareto front of the gains (`pareto_front` of -hd1, -hd2) is the minimum
     over the full grid, bit for bit, and every grid point still counts as a
     candidate. Grid points with a gain at or below 1e-30 toward either user
-    are dropped before the product. Fronts grow with the resolution
-    (thousands of points at 512), so the products are formed 512 front rows
-    at a time, which bounds memory by 512 x front size.
+    are dropped before the product.
+
+    The front depends only on the channel and the resolution, so it is
+    computed once per channel (`_gain_front`) and reused at every operating
+    point. Along it hd1 falls and hd2 rises strictly, so inv1 and a1 never
+    fall and inv2 and a2 never rise, and each row's minimum sits where its
+    two terms cross (`_min_max_product`). No front-by-front product is
+    formed: memory is O(grid), the grid and its gains.
     """
     h1 = np.asarray(channel.h1)
     h2 = np.asarray(channel.h2)
     if len(h1) != 2:
         raise DimensionError("oracle grid supports N = 2 only")
-    if resolution < 32:
-        raise ConfigError("resolution must be at least 32")
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ConfigError(f"resolution must be in [{MIN_RESOLUTION}, "
+                          f"{MAX_RESOLUTION}]")
 
     norms = (float(np.linalg.norm(h1)), float(np.linalg.norm(h2)))
     th = rate_thresholds(params)
@@ -344,28 +412,15 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
              + params.sigma2 * (t_dn - 1.0) + 2.0 * params.p_c / params.eta)
         return a / gain
 
-    vecs = _grid(resolution)
-
-    def gains(h):
-        return np.abs(vecs @ h) ** 2
-
-    g1, g2 = gains(h1), gains(h2)
-    # degenerate grid vectors (zero gain toward a user) drop out as NaN
-    hd1 = np.where(g1 > 1e-30, g1, np.nan)
-    hd2 = np.where(g2 > 1e-30, g2, np.nan)
-    front = pareto_front(-hd1, -hd2)
-    hd1, hd2 = hd1[front], hd2[front]
+    hd1, hd2 = _gain_front(resolution, h1.astype(np.complex128).tobytes(),
+                           h2.astype(np.complex128).tobytes())
+    if not len(hd1):
+        raise DegenerateChannelError("no non-degenerate grid point")
     a1 = (params.sigma2 * th.theta_1r / (params.eta * hd1)
           + params.sigma2 * (th.theta_r1 - 1.0) + 2.0 * params.p_c / params.eta)
     a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)
           + params.sigma2 * (th.theta_r2 - 1.0) + 2.0 * params.p_c / params.eta)
-    inv1, inv2 = 1.0 / hd1, 1.0 / hd2
-    best = np.inf
-    chunk = 512
-    for i in range(0, len(front), chunk):
-        r = slice(i, i + chunk)
-        best = min(best, float(np.min(np.maximum(np.outer(inv1[r], a1),
-                                                 np.outer(inv2[r], a2)))))
+    best = _min_max_product(1.0 / hd1, a1, 1.0 / hd2, a2)
     if not math.isfinite(best):
         raise DegenerateChannelError("no non-degenerate grid point")
     return best

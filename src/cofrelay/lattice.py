@@ -121,13 +121,20 @@ class NestedChain:
 
 def _check_nested(sub: Lattice, sup: Lattice, what: str) -> np.ndarray:
     """The index |s_j / f_j| of the coarser lattice's axis in the finer one's,
-    per axis; each ratio must be an integer."""
+    per axis; each must be an integer from 1 to below 2^63, the int64 it is
+    returned as."""
     if sub.dimension != sup.dimension:
         raise NestingError(f"{what}: dimension mismatch")
-    ratio = np.diagonal(sub.generator) / np.diagonal(sup.generator)
-    if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
-        raise NestingError(f"{what}: subset relation violated")
-    return np.abs(np.round(ratio)).astype(int)
+    # an overflowing ratio is an infinite index, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = np.diagonal(sub.generator) / np.diagonal(sup.generator)
+        if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
+            raise NestingError(f"{what}: subset relation violated")
+    index = np.abs(np.round(ratio))
+    # also False for an infinite index
+    if not np.all((index >= 1.0) & (index < 2.0 ** 63)):
+        raise NestingError(f"{what}: index must lie in [1, 2^63)")
+    return index.astype(int)
 
 
 @dataclass(frozen=True)

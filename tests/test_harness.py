@@ -571,6 +571,16 @@ def _cloud(kind, seed):
         at = rng.choice(n, 5, replace=False)
         x[at], y[at] = -1.0, -1.0
         return x, y
+    if kind == "distinct-x":
+        # no two x are equal except in exact copies of a point, so the
+        # stable one-key sort is the order; swapped, the integer x have
+        # ties of distinct y and take the two-key fallback
+        x, y = rng.standard_normal(n), rng.integers(-6, 6, n).astype(float)
+        src, dst = rng.integers(0, n, (2, n // 10 + 1))
+        x[dst], y[dst] = x[src], y[src]
+        return x, y
+    if kind == "x-ties":
+        return rng.integers(-6, 6, n).astype(float), rng.standard_normal(n)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     for v in (x, y):
         v[rng.random(n) < 0.1] = np.nan
@@ -611,7 +621,8 @@ class TestParetoFront:
         assert len(harness.pareto_front(nan, np.ones(3))) == 0
 
     @pytest.mark.parametrize("kind", ("integer-ties", "pivot-copies",
-                                      "nan-inf", "all-nan", "empty"))
+                                      "distinct-x", "x-ties", "nan-inf",
+                                      "all-nan", "empty"))
     def test_pruning_matches_unpruned_sort(self, kind):
         for seed in range(40):
             x, y = _cloud(kind, seed)
@@ -661,8 +672,9 @@ class TestOracleGrid:
         finally:
             tracemalloc.stop()
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-        # one 512-column chunk of the full 65538-point product is 268 MB
-        assert peak < 64e6
+        # the grid and its gains, about 7 MB: no front-by-front product (a
+        # 512-row chunk of it took the peak to 13 MB)
+        assert peak < 10e6
 
     def test_grid_is_read_only(self):
         vecs = harness._grid(64)
@@ -683,6 +695,57 @@ class TestOracleGrid:
             fresh.append(harness.oracle_grid(ch, par, resolution=r))
         assert cached == fresh
         assert harness._grid.cache_info().maxsize == 2
+
+    def test_front_reuse_across_operating_points(self):
+        ch = gen_channel(trial_seed(4321, 5), 2)
+        other = gen_channel(trial_seed(4321, 6), 2)
+        points = [units_from_config(ScenarioConfig(
+            n=2, snr_db=snr_db, pc_dbm=pc_dbm, r1_bar=r1, r2_bar=r2))
+            for snr_db, pc_dbm, (r1, r2) in itertools.product(
+                (0.0, 50.0), (-60.0, 20.0), ((2.0, 2.0), (1.0, 3.0)))]
+        # runs of one channel at several operating points, broken by a
+        # second channel and by a second resolution of the first
+        calls = ([(ch, 32, par) for par in points[:4]] + [(other, 32, points[0])]
+                 + [(ch, 32, par) for par in points[4:]]
+                 + [(ch, 64, points[1]), (other, 32, points[7]),
+                    (ch, 64, points[6]), (ch, 32, points[2])])
+        harness._gain_front.cache_clear()
+        cached = [harness.oracle_grid(c, par, resolution=r)
+                  for c, r, par in calls]
+        assert harness._gain_front.cache_info().hits >= 8
+        fresh = []
+        for c, r, par in calls:
+            harness._gain_front.cache_clear()
+            fresh.append(harness.oracle_grid(c, par, resolution=r))
+        assert cached == fresh
+        assert cached == [_oracle_reference(c, par, r) for c, r, par in calls]
+        assert harness._gain_front.cache_info().maxsize == 2
+        hd1, hd2 = harness._gain_front(32, ch.h1.tobytes(), ch.h2.tobytes())
+        assert np.all(np.diff(hd1) < 0) and np.all(np.diff(hd2) > 0)
+        for hd in (hd1, hd2):
+            with pytest.raises(ValueError):
+                hd[0] = 1.0
+
+    @pytest.mark.parametrize("size", (1, 2, 3, 50, 400))
+    def test_crossing_search_matches_full_product(self, size):
+        rng = np.random.default_rng(size)
+        for trial in range(20):
+            if trial % 2:
+                # gains along a front, as `oracle_grid` forms them
+                hd1 = np.sort(rng.exponential(size=size))[::-1]
+                hd2 = np.sort(rng.exponential(size=size))
+                k, b = 10.0 ** rng.uniform(-3, 3, 2), 10.0 ** rng.uniform(-3, 3, 2)
+                inv1, inv2 = 1.0 / hd1, 1.0 / hd2
+                a1, a2 = k[0] / hd1 + b[0], k[1] / hd2 + b[1]
+            else:
+                # small integers: exact products, with repeats and equal
+                # products at the crossing
+                inv1, a1 = (np.sort(rng.integers(1, 5, (2, size)), axis=1)
+                            .astype(float))
+                inv2, a2 = (np.sort(rng.integers(1, 5, (2, size)), axis=1)
+                            [:, ::-1].astype(float))
+            full = np.min(np.maximum(np.outer(inv1, a1), np.outer(inv2, a2)))
+            assert harness._min_max_product(inv1, a1, inv2, a2) == full
 
     def test_orthogonal_symmetric(self):
         par = SystemParams(N=2, eta=1.0, p_c=0.0, sigma2=1.0,
@@ -717,6 +780,8 @@ class TestOracleGrid:
             harness.oracle_grid(gen_channel(1, 3), par)
         with pytest.raises(ConfigError):
             harness.oracle_grid(gen_channel(1, 2), par, resolution=16)
+        with pytest.raises(ConfigError):
+            harness.oracle_grid(gen_channel(1, 2), par, resolution=2049)
 
 
 class TestLatticeDemo:
@@ -826,6 +891,12 @@ class TestCli:
         out_of_range = [["--eta", "2"], ["--eta", "0"], ["--r1-bar", "-1"],
                         ["--seed", "-1"]]
         for argv in ([["oracle-check", "--resolution", "16"],
+                      # a grid of 4.2 M vectors is the most allowed; this
+                      # one is refused before anything is allocated
+                      ["oracle-check", "--resolution", "2049"],
+                      # indices of 8e300 and 2.5e299 do not fit an int64
+                      ["lattice-demo", "--scales", "1e-300,4,8"],
+                      ["lattice-demo", "--scales", "1,4,1e300"],
                       ["oracle-check", "--n", "4"],
                       ["oracle-check", "--channels", "0"],
                       ["oracle-check", "--max-iter", "0"],

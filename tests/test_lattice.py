@@ -168,6 +168,19 @@ class TestCodebook:
         with pytest.raises(NestingError):
             lattice.enumerate_codebook(Z4, Z)  # 1Z is not a sublattice of 4Z
 
+    @pytest.mark.parametrize("fine,shaping", [
+        # the int64 cast would give -2^63
+        pytest.param(1e-300, 8.0, id="index-8e300"),
+        pytest.param(1e-320, 1e300, id="ratio-overflows"),
+        # index 0 passes the 1e-9 subset tolerance
+        pytest.param(1.0, 1e-12, id="index-0"),
+        # the first index an int64 cannot hold
+        pytest.param(1.0, 2.0 ** 63, id="index-2^63")])
+    def test_index_out_of_int64_range(self, fine, shaping):
+        with pytest.raises(NestingError, match="index"):
+            lattice.enumerate_codebook(lattice.scaled_integers(fine),
+                                       lattice.scaled_integers(shaping))
+
 
 class TestChain:
     def test_valid_chain(self):
