@@ -270,12 +270,12 @@ def pareto_front(x, y) -> np.ndarray:
     the last kept point before it, the pruned pass returns the same indices
     in the same order.
 
-    The survivors are sorted by x alone, by a stable sort. Points of equal
-    x then stay in index order, which is the two-key order too when they
-    also share y (exact copies, such as the oracle grid's t = 0 row and its
-    pole). Only when two neighbours in that order share x but not y is the
-    two-key `np.lexsort` run. Either way the same indices come back in the
-    same order.
+    The survivors are sorted by x alone, by the default (unstable) sort,
+    and only the runs of equal x are then sorted by y and index with
+    `np.lexsort`. That is the order of a stable two-key sort, so the same
+    indices come back in the same order, but the costly multi-key sort sees
+    only the ties: on the oracle grid, the exact copies of its t = 0 row
+    and its pole.
     """
     x = np.asarray(x)
     y = np.asarray(y)
@@ -288,11 +288,15 @@ def pareto_front(x, y) -> np.ndarray:
         keep = (xs < xs[k]) | (ys < ys[k])
         keep[k] = True
         idx = idx[keep]
-    order = idx[np.argsort(x[idx], kind="stable")]
-    xs, ys = x[order], y[order]
-    if np.any((xs[1:] == xs[:-1]) & (ys[1:] != ys[:-1])):
-        order = idx[np.lexsort((y[idx], x[idx]))]
-        ys = y[order]
+    order = idx[np.argsort(x[idx])]
+    xs = x[order]
+    # runs of equal x, each put in (y, index) order
+    tie = np.zeros(len(order), dtype=bool)
+    tie[1:] = xs[1:] == xs[:-1]
+    tie[:-1] |= tie[1:]
+    run = order[tie]
+    order[tie] = run[np.lexsort((run, y[run], x[run]))]
+    ys = y[order]
     keep = np.ones(len(ys), dtype=bool)
     keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
     return order[keep]
@@ -311,26 +315,6 @@ def _grid(resolution: int) -> np.ndarray:
     vecs = np.vstack([vecs, np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex)])
     vecs.flags.writeable = False
     return vecs
-
-
-@functools.lru_cache(maxsize=2)
-def _gain_front(resolution: int, h1: bytes, h2: bytes):
-    """The gains (hd1, hd2) of the Pareto front of the N=2 oracle grid
-    toward the channel whose complex128 bytes are h1 and h2, read-only,
-    in ascending hd2 (so descending hd1). Gains at or below 1e-30 drop out.
-    They depend on no operating point, so the two latest channels are
-    cached."""
-    vecs = _grid(resolution)
-    hd = []
-    for h in (h1, h2):
-        g = np.abs(vecs @ np.frombuffer(h, dtype=np.complex128)) ** 2
-        # degenerate grid vectors (zero gain toward a user) drop out as NaN
-        hd.append(np.where(g > 1e-30, g, np.nan))
-    front = pareto_front(-hd[0], -hd[1])
-    hd1, hd2 = hd[0][front], hd[1][front]
-    hd1.flags.writeable = False
-    hd2.flags.writeable = False
-    return hd1, hd2
 
 
 def _min_max_product(inv1, a1, inv2, a2) -> float:
@@ -383,9 +367,7 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     candidate. Grid points with a gain at or below 1e-30 toward either user
     are dropped before the product.
 
-    The front depends only on the channel and the resolution, so it is
-    computed once per channel (`_gain_front`) and reused at every operating
-    point. Along it hd1 falls and hd2 rises strictly, so inv1 and a1 never
+    Along the front hd1 falls and hd2 rises strictly, so inv1 and a1 never
     fall and inv2 and a2 never rise, and each row's minimum sits where its
     two terms cross (`_min_max_product`). No front-by-front product is
     formed: memory is O(grid), the grid and its gains.
@@ -412,10 +394,19 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
              + params.sigma2 * (t_dn - 1.0) + 2.0 * params.p_c / params.eta)
         return a / gain
 
-    hd1, hd2 = _gain_front(resolution, h1.astype(np.complex128).tobytes(),
-                           h2.astype(np.complex128).tobytes())
-    if not len(hd1):
+    vecs = _grid(resolution)
+
+    def gains(h):
+        return np.abs(vecs @ h) ** 2
+
+    g1, g2 = gains(h1), gains(h2)
+    # degenerate grid vectors (zero gain toward a user) drop out as NaN
+    hd1 = np.where(g1 > 1e-30, g1, np.nan)
+    hd2 = np.where(g2 > 1e-30, g2, np.nan)
+    front = pareto_front(-hd1, -hd2)
+    if not len(front):
         raise DegenerateChannelError("no non-degenerate grid point")
+    hd1, hd2 = hd1[front], hd2[front]
     a1 = (params.sigma2 * th.theta_1r / (params.eta * hd1)
           + params.sigma2 * (th.theta_r1 - 1.0) + 2.0 * params.p_c / params.eta)
     a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)

@@ -573,8 +573,8 @@ def _cloud(kind, seed):
         return x, y
     if kind == "distinct-x":
         # no two x are equal except in exact copies of a point, so the
-        # stable one-key sort is the order; swapped, the integer x have
-        # ties of distinct y and take the two-key fallback
+        # runs of equal x are the copies; swapped, the integer x give long
+        # runs of distinct y
         x, y = rng.standard_normal(n), rng.integers(-6, 6, n).astype(float)
         src, dst = rng.integers(0, n, (2, n // 10 + 1))
         x[dst], y[dst] = x[src], y[src]
@@ -696,35 +696,15 @@ class TestOracleGrid:
         assert cached == fresh
         assert harness._grid.cache_info().maxsize == 2
 
-    def test_front_reuse_across_operating_points(self):
-        ch = gen_channel(trial_seed(4321, 5), 2)
-        other = gen_channel(trial_seed(4321, 6), 2)
-        points = [units_from_config(ScenarioConfig(
-            n=2, snr_db=snr_db, pc_dbm=pc_dbm, r1_bar=r1, r2_bar=r2))
-            for snr_db, pc_dbm, (r1, r2) in itertools.product(
-                (0.0, 50.0), (-60.0, 20.0), ((2.0, 2.0), (1.0, 3.0)))]
-        # runs of one channel at several operating points, broken by a
-        # second channel and by a second resolution of the first
-        calls = ([(ch, 32, par) for par in points[:4]] + [(other, 32, points[0])]
-                 + [(ch, 32, par) for par in points[4:]]
-                 + [(ch, 64, points[1]), (other, 32, points[7]),
-                    (ch, 64, points[6]), (ch, 32, points[2])])
-        harness._gain_front.cache_clear()
-        cached = [harness.oracle_grid(c, par, resolution=r)
-                  for c, r, par in calls]
-        assert harness._gain_front.cache_info().hits >= 8
-        fresh = []
-        for c, r, par in calls:
-            harness._gain_front.cache_clear()
-            fresh.append(harness.oracle_grid(c, par, resolution=r))
-        assert cached == fresh
-        assert cached == [_oracle_reference(c, par, r) for c, r, par in calls]
-        assert harness._gain_front.cache_info().maxsize == 2
-        hd1, hd2 = harness._gain_front(32, ch.h1.tobytes(), ch.h2.tobytes())
-        assert np.all(np.diff(hd1) < 0) and np.all(np.diff(hd2) > 0)
-        for hd in (hd1, hd2):
-            with pytest.raises(ValueError):
-                hd[0] = 1.0
+    def test_matches_full_grid_at_unequal_targets(self):
+        # the parity cases above all have equal rate targets
+        for t, (r1, r2) in itertools.product(range(3), ((1.0, 3.0), (3.0, 1.0))):
+            ch = gen_channel(trial_seed(4321, t), 2)
+            for snr_db, pc_dbm in ((0.0, -60.0), (50.0, 20.0)):
+                par = units_from_config(ScenarioConfig(
+                    n=2, snr_db=snr_db, pc_dbm=pc_dbm, r1_bar=r1, r2_bar=r2))
+                assert (harness.oracle_grid(ch, par, resolution=32)
+                        == _oracle_reference(ch, par, 32))
 
     @pytest.mark.parametrize("size", (1, 2, 3, 50, 400))
     def test_crossing_search_matches_full_product(self, size):
