@@ -6,7 +6,7 @@ beamformer, receive combiner and per-user power splits (`design`,
 `optimizer`: a global 1-D search along the two-user gain frontier with a
 closed-form beamformer at each combiner angle), verify
 the rate targets, and aggregate Monte Carlo sweeps (`harness`), which run
-every scheme as one array pass over all (axis point, trial) pairs
+all schemes as one stacked array pass over (scheme, axis point, trial)
 (`batch`, the schemes of `optimizer.run_scheme` over arrays). The paper's
 semidefinite relaxation of the beamformer step
 (`design.min_power_beamformer`, solved by the `sdp` interior-point method

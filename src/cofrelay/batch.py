@@ -3,10 +3,10 @@
 `solve` does the work of `optimizer.run_scheme` followed by
 `design.verify_rates` and `design.check_rates` for many records at once.
 The T channel draws are one (T, 2, N) array, the P operating points are
-(P, 1) columns of sigma2 and P_c, and every per-record quantity is a
-(P, T) array. Each step
-repeats the float operations of its scalar original in the same order,
-and the parity tests bound what rounding leaves between the two paths. Every check of the
+(P, 1) columns of sigma2 and P_c, and every per-record quantity of the S
+schemes is one stacked (S, P, T) array. Each step repeats the float
+operations of its scalar original in the same order, and the parity tests
+bound what rounding leaves between the two paths. Every check of the
 scalar path is an array mask with the same threshold; a record that fails
 one carries the error class the scalar path would raise as its status.
 
@@ -115,30 +115,28 @@ class ChannelBatch:
         self.h = np.array([(ch.h1, ch.h2) for ch in self.channels],
                           dtype=complex)
         self.n = self.h.shape[2]
-        self._equal_gain = {}
 
     @cached_property
     def basis(self) -> FrontierBases:
         return frontier_bases(self.h[:, 0], self.h[:, 1])
 
     def equal_gain(self, phased: bool):
-        """`optimizer.equal_gain_vector` w of every channel, with its
-        uplink and downlink gains as (2, 1, T) arrays."""
-        if phased not in self._equal_gain:
-            h1, h2 = self.h[:, 0], self.h[:, 1]
-            if phased:
-                w = np.exp(-1j * np.angle(h1 + h2)) / math.sqrt(self.n)
-            else:
-                w = np.broadcast_to(np.ones(self.n, dtype=complex)
-                                    / math.sqrt(self.n), h1.shape)
-            self._equal_gain[phased] = (w, _uplink(w, self.h)[:, None],
-                                        _downlink(self.h, w)[:, None])
-        return self._equal_gain[phased]
+        """`optimizer.equal_gain_vector` w of every channel, with `_unit`
+        of w and its uplink and downlink gains as (2, 1, 1, T) arrays."""
+        h1, h2 = self.h[:, 0], self.h[:, 1]
+        if phased:
+            w = np.exp(-1j * np.angle(h1 + h2)) / math.sqrt(self.n)
+        else:
+            w = np.broadcast_to(np.ones(self.n, dtype=complex)
+                                / math.sqrt(self.n), h1.shape)
+        return (w, _unit(w), _uplink(w, self.h)[:, None, None],
+                _downlink(self.h, w)[:, None, None])
 
 
 class OperatingPoints:
     """P operating points as columns of the `design.PowerConstants`: (P, 1)
-    per point, (2, P, 1) per user and point.
+    per point, (2, 1, P, 1) per user and point, so that they broadcast
+    against the (2, S, P, T) gains of S schemes.
 
     The points share N, eta and the rate targets and differ in sigma2 and
     P_c, as the points of one sweep do.
@@ -156,16 +154,16 @@ class OperatingPoints:
         p_c = np.array([p.p_c for p in self.params])[:, None]
         const = power_constants(first, self.sigma2, p_c)
         self.two_pc, self.circuit = const.two_pc, const.circuit
-        self.noise_up = np.array(const.noise_up)
-        self.noise_dn = np.array(const.noise_dn)
-        self.beta_num = np.array(const.beta_num)
-        self.targets = np.array(const.targets)[:, None, None]
+        self.noise_up = np.array(const.noise_up)[:, None]
+        self.noise_dn = np.array(const.noise_dn)[:, None]
+        self.beta_num = np.array(const.beta_num)[:, None]
+        self.targets = np.array(const.targets)[:, None, None, None]
 
     def __len__(self):
         return len(self.params)
 
     def rhs(self, up):
-        """`design.constraint_rhs` from the (2, P, T) uplink gains."""
+        """`design.constraint_rhs` from the (2, S, P, T) uplink gains."""
         return self.noise_up / (self.eta * up) + self.noise_dn + self.circuit
 
 
@@ -176,54 +174,47 @@ class _Board:
         self.ok = np.ones(shape, dtype=bool)
         self.status = np.full(shape, "ok", dtype=object)
 
-    def fail(self, mask, error):
-        """Fail the records under ``mask`` that have not failed yet."""
-        self._fail_new(self.ok & mask, error)
-
     def require(self, passed, error):
         """Fail the records not under ``passed`` that have not failed yet;
         a comparison with NaN is False, so it fails its record."""
-        self._fail_new(self.ok > passed, error)
-
-    def _fail_new(self, new, error):
+        new = self.ok > passed
         if new.any():
             self.status[new] = f"failed:{error.__name__}"
             self.ok &= ~new
 
-    def floor(self, *gains):
-        """The gain-floor check of (2, ..., T) gains: DegenerateChannelError
-        at or below it."""
-        low = gains[0] <= GAIN_FLOOR
-        for g in gains[1:]:
-            low = low | (g <= GAIN_FLOOR)
-        self.fail(low[0] | low[1], DegenerateChannelError)
+    def floor(self, up, down):
+        """The gain-floor check of (2, S, P, T) gains: DegenerateChannelError
+        at or below it (not at NaN)."""
+        low = (up <= GAIN_FLOOR) | (down <= GAIN_FLOOR)
+        self.require(~(low[0] | low[1]), DegenerateChannelError)
 
 
 class BatchResult(NamedTuple):
-    """Per-record outputs of `solve`, each (P, T) and NaN where the status
-    is a failure."""
+    """Per-record outputs of `solve`, each (S, P, T) and NaN where the
+    status is a failure."""
     p_r: np.ndarray
-    beta: np.ndarray      # (2, P, T): beta1, beta2
-    margins: np.ndarray   # (4, P, T): up1, up2, down1, down2
+    beta: np.ndarray      # (2, S, P, T): beta1, beta2
+    margins: np.ndarray   # (4, S, P, T): up1, up2, down1, down2
     status: np.ndarray    # objects: "ok" or "failed:<error class>"
 
 
-def _combiner(batch: ChannelBatch, pts: OperatingPoints, board, down):
-    """`design.solve_combiner` for the beamformer with downlink gains
-    ``down``: the conjugate of the frontier vector at the optimal angle."""
-    if batch.n == 1:
-        return np.ones(board.ok.shape + (1,), dtype=complex)
-    rho = pts.noise_up / (pts.eta * down)
-    mu = (pts.noise_dn + pts.circuit) / down
-    basis = batch.basis
+def _crossing_vector(basis: FrontierBases, rho, mu):
+    """conj u(phi) at the angle of `design.frontier_crossings`: the vector
+    of `design.solve_combiner`, and of `solve_beamformer` at mu = 0."""
     tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
     return basis.vector(elementwise(math.atan, tan_phi)).conj()
 
 
-def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
+def _unit(v):
+    """The unit-norm check of `design.TransceiverDesign`, per v[..., :]."""
+    return (np.abs(np.sqrt((np.abs(v) ** 2).sum(axis=-1)) - 1.0)
+            <= UNIT_NORM_TOL)
+
+
+def _tail(pts: OperatingPoints, board, unit, up, down, rhs) -> BatchResult:
     """`required_power`, `complete_design`, `verify_rates` and
-    `check_rates` per record, from the (2, P, T) gains of (f, g) and
-    constraint right-hand sides."""
+    `check_rates` per record, from the (2, S, P, T) gains of (f, g) and
+    constraint right-hand sides; ``unit`` is `_unit` of f and g."""
     board.floor(up, down)
     eta, sigma2 = pts.eta, pts.sigma2
     ratio = rhs / down
@@ -240,9 +231,7 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
     board.require((0.0 < p_r) & (p_r < math.inf) & ~(bad[0] | bad[1]),
                   InfeasibleError)
     beta = np.minimum(np.maximum(beta, 0.0), 1.0)
-    for v in (f, g):  # the unit-norm check of `design.TransceiverDesign`
-        norm = np.sqrt((np.abs(v) ** 2).sum(axis=-1))
-        board.require(np.abs(norm - 1.0) <= UNIT_NORM_TOL, ValueError)
+    board.require(unit, ValueError)
 
     s = np.maximum(eta * (1.0 - beta) * p_r * down - pts.two_pc, 0.0) * up
     tot = s[0] + s[1]
@@ -262,38 +251,49 @@ def _tail(pts: OperatingPoints, board, f, g, up, down, rhs) -> BatchResult:
     return BatchResult(p_r=p_r, beta=beta, margins=margins, status=board.status)
 
 
-def solve(scheme, batch: ChannelBatch, points: OperatingPoints,
+def solve(schemes, batch: ChannelBatch, points: OperatingPoints,
           equal_gain_phased: bool = True) -> BatchResult:
     """`optimizer.run_scheme`, `design.verify_rates` and `check_rates` for
-    every channel of ``batch`` at every one of the P ``points``; the
-    records are (P, T)."""
-    scheme = SchemeId(scheme)
-    board = _Board((len(points), len(batch.channels)))
+    every channel of ``batch`` at every one of the P ``points`` under each
+    of the S sorted, distinct ``schemes``; the records are (S, P, T). Only
+    the combiners are per scheme: one beamformer crossing serves schemes 1
+    and 2 (the slice [:k]), and one `_tail` all (S, P, T) records."""
+    schemes = tuple(map(SchemeId, schemes))
+    if not schemes or schemes != tuple(sorted(set(schemes))):
+        raise ValueError("schemes must be sorted, distinct and at least one")
+    shape = (len(schemes), len(points), len(batch.channels))
+    k = sum(s <= SchemeId.BF_PS_EGC_RECEIVER for s in schemes)
+    board = _Board(shape)
+    up, down = np.empty((2,) + shape), np.empty((2,) + shape)
+    unit = np.empty(shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
-            # `design.frontier_basis` raises on a zero h1
-            basis = batch.basis
-            board.fail(~(basis.n1 > 0.0), DegenerateChannelError)
-            psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max,
-                               points.noise_up / points.eta,
-                               points.noise_dn + points.circuit)
-            # (1, T) at equal targets, where psi depends on the channel only
-            g = basis.vector(np.atleast_2d(psi)).conj()
-            up = _uplink(g, batch.h)
-        else:
-            w, up, down = batch.equal_gain(equal_gain_phased)
-            f = g = w
-        if scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
-            board.floor(down)
-            g = _combiner(batch, points, board, down)
-            up = _uplink(g, batch.h)
+        if schemes[-1] is not SchemeId.JOINT_TRANSCEIVER_PS:
+            _, unit_w, up_w, down_w = batch.equal_gain(equal_gain_phased)
+        for i, scheme in enumerate(schemes):
+            if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
+                basis = batch.basis
+                psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max,
+                                   points.noise_up / points.eta,
+                                   points.noise_dn + points.circuit)
+                # psi is (T,) at equal targets; `design.frontier_basis`
+                # raises on a zero h1, where g = 0 fails at the gain floor
+                g = np.where((basis.n1 > 0.0)[:, None], basis.vector(
+                    np.reshape(psi, (1, -1, shape[2]))).conj(), 0.0)
+            elif scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
+                g = (np.ones((1, 1, shape[2], 1), dtype=complex)
+                     if batch.n == 1 else _crossing_vector(
+                         batch.basis, points.noise_up / (points.eta * down_w),
+                         (points.noise_dn + points.circuit) / down_w))
+            else:  # w, as is the beamformer of schemes 3 and 4
+                up[:, i:i + 1], unit[i] = up_w, unit_w
+                continue
+            up[:, i:i + 1], unit[i] = _uplink(g, batch.h), _unit(g)
         rhs = points.rhs(up)
-        if scheme in (SchemeId.JOINT_TRANSCEIVER_PS,
-                      SchemeId.BF_PS_EGC_RECEIVER):
-            # `design.solve_beamformer`: the frontier vector at the crossing
-            basis = batch.basis
-            tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rhs,
-                                            (0.0, 0.0))
-            f = basis.vector(elementwise(math.atan, tan_phi)).conj()
-            down = _downlink(batch.h, f)
-        return _tail(points, board, f, g, up, down, rhs)
+        if k:
+            f = _crossing_vector(batch.basis, rhs[:, :k], (0.0, 0.0))
+            down[:, :k] = _downlink(batch.h, f)
+            unit[:k] &= _unit(f)
+        if k < len(schemes):
+            down[:, k:] = down_w
+            unit[k:] &= unit_w
+        return _tail(points, board, unit, up, down, rhs)

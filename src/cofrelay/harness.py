@@ -1,11 +1,11 @@
 """Monte Carlo sweeps, the exhaustive N=2 oracle, and the lattice demo.
 
 A sweep draws one channel per trial from per-trial seed streams and solves
-each scheme in one array pass over every (axis point, trial) pair
-(`batch.solve`). The records stay in columns from there to the file: a
-`RecordTable` holds one array per CSV column, in the order (snr_db,
-pc_dbm, scheme, trial) given by one stable `np.lexsort`, so duplicate axis
-values keep their order. `records_csv` formats the whole table in one
+every scheme in one stacked array pass over all (scheme, axis point,
+trial) records (`batch.solve`). The records stay in columns from there to
+the file: a `RecordTable` holds one array per CSV column, in the order
+(snr_db, pc_dbm, scheme, trial) given by one stable `np.lexsort`, so
+duplicate axis values keep their order. `records_csv` formats the whole table in one
 printf pass, `summarize` reduces the trial axis of each (scheme, axis
 point) bucket with one numpy call per bucket size, and `failure_fraction`
 reads the status column. Indexing or iterating a table gives
@@ -129,29 +129,24 @@ def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
 
 def _run_batch(cfg: ScenarioConfig, points, channels) -> RecordTable:
     """The records of every configured scheme at every (snr_db, pc_dbm)
-    point, one `batch.solve` pass per scheme over all (point, trial) pairs,
-    sorted by point, scheme and trial. Iterations are 0."""
+    point, from one `batch.solve` pass over all (scheme, point, trial)
+    records, sorted by point, scheme and trial. Iterations are 0."""
     params = batch.OperatingPoints(point_params(cfg, snr_db, pc_dbm)
                                    for snr_db, pc_dbm in points)
-    chans = batch.ChannelBatch(channels)
-    phased = cfg.equal_gain == "phased"
     schemes = sorted(cfg.schemes)
-    results = [batch.solve(scheme, chans, params, equal_gain_phased=phased)
-               for scheme in schemes]
+    res = batch.solve(schemes, batch.ChannelBatch(channels), params,
+                      equal_gain_phased=cfg.equal_gain == "phased")
     # (scheme, point, trial) order, flattened
-    n_s, n_p, n_t = len(schemes), len(points), len(chans.channels)
-    status = np.concatenate([r.status.ravel() for r in results])
-    p_r = np.concatenate([r.p_r.ravel() for r in results])
-    beta = np.concatenate([r.beta.reshape(2, -1) for r in results], axis=1)
-    margins = np.concatenate([r.margins.reshape(4, -1) for r in results],
-                             axis=1)
+    n_s, n_p, n_t = res.status.shape
+    status = res.status.ravel()
+    beta, margins = res.beta.reshape(2, -1), res.margins.reshape(4, -1)
     ok = status == "ok"
     p_r_db = np.full(len(status), np.nan)
     # math.log10 per record: np.log10 can differ in the last bit
-    p_r_db[ok] = [db_from_power(p) for p in p_r[ok].tolist()]
+    p_r_db[ok] = [db_from_power(p) for p in res.p_r.ravel()[ok].tolist()]
     snr_db, pc_dbm = (np.repeat(np.array(v, dtype=float), n_t)
                       for v in zip(*points))
-    seeds = np.array([ch.seed for ch in chans.channels], dtype=object)
+    seeds = np.array([ch.seed for ch in channels], dtype=object)
     columns = {
         "scheme": np.repeat(schemes, n_p * n_t),
         "snr_db": np.tile(snr_db, n_s),
@@ -226,11 +221,11 @@ def summary_csv(summaries) -> str:
 def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
     """Run the configured sweep; optionally write the two CSV files.
 
-    The channels are drawn once and shared by every axis point; each scheme
-    is one `batch.solve` pass over all (axis point, trial) pairs. Returns
-    (records, summaries): a `RecordTable` and a list of `SweepSummary`.
-    Per-trial failures are recorded with a failed status and excluded from
-    the means; they never abort the sweep.
+    The channels are drawn once and shared by every axis point and scheme,
+    all solved in one `batch.solve` pass. Returns (records, summaries): a
+    `RecordTable` and a list of `SweepSummary`. Per-trial failures are
+    recorded with a failed status and excluded from the means; they never
+    abort the sweep.
     """
     channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                 for t in range(cfg.trials)]

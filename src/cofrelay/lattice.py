@@ -20,7 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, NestingError
+from .errors import ConfigError, DimensionError, NestingError
+
+MAX_CODEBOOK = 1 << 16  # codewords; about 20 MB of `CodebookEntry`
 
 
 @dataclass(frozen=True)
@@ -157,9 +159,12 @@ def enumerate_codebook(fine: Lattice, shaping: Lattice) -> list:
     pair -m/2, m/2 is one coset, and keeping -m/2 on every boundary axis
     gives the lexicographic minimum. So axis j contributes k |f_j| for k in
     [-floor(m/2), m - floor(m/2)), and the product of the sorted axes is in
-    lexicographic order.
+    lexicographic order. Over MAX_CODEBOOK codewords, it raises ConfigError.
     """
     index = _check_nested(shaping, fine, "shaping in fine")
+    size = math.prod(index.tolist())
+    if size > MAX_CODEBOOK:
+        raise ConfigError(f"codebook of {size} > {MAX_CODEBOOK} codewords")
     axes = [np.arange(-(m // 2), m - m // 2) * abs(f)
             for m, f in zip(index, np.diagonal(fine.generator))]
     return [CodebookEntry(point=np.array(p), index=i)

@@ -162,6 +162,12 @@ def _assert_parity(records, cfg, channels):
         assert np.max(np.abs(np.subtract(r.margins(), margins))) <= MARGIN_TOL
 
 
+def _scheme_slice(res, s):
+    """The (P, T) records of the s-th scheme of a `batch.solve` result."""
+    return batch.BatchResult(res.p_r[s], res.beta[:, s], res.margins[:, s],
+                             res.status[s])
+
+
 def _assert_ok_finite(records):
     """No ``ok`` record holds a non-finite P_r, beta or margin."""
     for r in records:
@@ -226,21 +232,22 @@ class TestBatchParity:
         else:
             assert statuses == {"ok"}
 
-        # all points in one batch: failed records stay NaN beside good ones
+        # all schemes and points in one batch: failed records stay NaN
+        # beside good ones
         params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
-        for scheme in (1, 2, 3, 4):
-            res = batch.solve(scheme, batch.ChannelBatch(channels), params,
-                              equal_gain_phased=(equal_gain == "phased"))
+        res = batch.solve((1, 2, 3, 4), batch.ChannelBatch(channels), params,
+                          equal_gain_phased=(equal_gain == "phased"))
+        for s, scheme in enumerate((1, 2, 3, 4)):
             for p, par in enumerate(params.params):
                 for t, ch in enumerate(channels):
                     status, _, ref = _scalar_reference(scheme, ch, par,
                                                        equal_gain == "phased")
-                    assert res.status[p, t] == status
+                    assert res.status[s, p, t] == status
                     if ref is None:
-                        assert math.isnan(res.p_r[p, t])
+                        assert math.isnan(res.p_r[s, p, t])
                     else:
-                        assert res.p_r[p, t] == pytest.approx(ref[0],
-                                                              rel=P_R_TOL)
+                        assert res.p_r[s, p, t] == pytest.approx(ref[0],
+                                                                 rel=P_R_TOL)
 
     @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
     def test_extreme_snr_misses_targets(self, equal_gain):
@@ -302,13 +309,13 @@ class TestBatchParity:
         channels = [gen_channel(trial_seed(3, t), 4) for t in range(4)]
         points = batch.OperatingPoints(
             [_point_params(ScenarioConfig(), 20.0, 10.0)])
-        w, up, down = batch.ChannelBatch(channels).equal_gain(True)
+        w, unit, up, down = batch.ChannelBatch(channels).equal_gain(True)
         g = w.copy()
         g[1] = np.nan
-        res = batch._tail(points, batch._Board((1, len(channels))), w, g,
-                          up, down, points.rhs(up))
-        assert res.status.tolist() == [["ok", "failed:ValueError", "ok",
-                                        "ok"]]
+        res = batch._tail(points, batch._Board((1, 1, len(channels))),
+                          unit & batch._unit(g), up, down, points.rhs(up))
+        assert res.status.tolist() == [[["ok", "failed:ValueError", "ok",
+                                         "ok"]]]
 
     @pytest.mark.parametrize("scale", (0.5, 2.0))
     def test_splitting_check_off_the_required_power(self, scale):
@@ -319,10 +326,11 @@ class TestBatchParity:
         channels = [gen_channel(trial_seed(3, t), 4) for t in range(8)]
         par = _point_params(ScenarioConfig(), 20.0, 10.0)
         points = batch.OperatingPoints([par])
-        w, up, down = batch.ChannelBatch(channels).equal_gain(True)
+        w, unit, up, down = batch.ChannelBatch(channels).equal_gain(True)
         with np.errstate(divide="ignore", invalid="ignore"):  # as in solve
-            res = batch._tail(points, batch._Board((1, len(channels))), w, w,
-                              up, down, scale * points.rhs(up))
+            res = batch._tail(points, batch._Board((1, 1, len(channels))),
+                              unit, up, down, scale * points.rhs(up))
+        res = _scheme_slice(res, 0)
         for t, ch in enumerate(channels):
             p_r = scale * required_power(w[t], w[t], ch, par)
             try:
@@ -335,6 +343,69 @@ class TestBatchParity:
             assert res.p_r[0, t] == p_r
             assert np.max(np.abs(res.beta[:, 0, t] - betas)) <= BETA_TOL
         assert (res.status == "ok").all() == (scale > 1.0)
+
+
+def _stack_case(kind, equal_gain):
+    """(cfg, points, channels) of one stacking-independence case."""
+    axis = dict(axis="snr", axis_values=(-10.0, 20.0, 50.0), pc_dbm=-20.0,
+                equal_gain=equal_gain)
+    if kind in ("fig2", "fig3"):
+        preset = fig2_preset if kind == "fig2" else fig3_preset
+        cfg = preset(trials=4, master_seed=99, equal_gain=equal_gain)
+    elif kind == "edge":
+        cfg = ScenarioConfig(n=3, trials=2 + len(EDGE_CHANNELS), **axis)
+        edges = [ChannelRealization(h1=np.asarray(h1, dtype=complex),
+                                    h2=np.asarray(h2, dtype=complex), seed=5)
+                 for h1, h2 in EDGE_CHANNELS.values()]
+        return (cfg, harness.axis_points(cfg),
+                [gen_channel(11, 3)] + edges + [gen_channel(12, 3)])
+    else:
+        n, r1_bar, r2_bar = kind
+        cfg = ScenarioConfig(n=n, trials=6, master_seed=7, r1_bar=r1_bar,
+                             r2_bar=r2_bar, **axis)
+    channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
+                for t in range(cfg.trials)]
+    return cfg, harness.axis_points(cfg), channels
+
+
+class TestSchemeStack:
+    """Solving the schemes together changes no bit of any scheme."""
+
+    @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
+    @pytest.mark.parametrize("kind", [
+        "fig2", "fig3", "edge",
+        *((n, r1, r2) for n in (1, 2, 16)
+          for r1, r2 in ((2.0, 2.0), (1.0, 3.0), (3.0, 1.0)))],
+        ids=lambda k: k if isinstance(k, str) else "n%d-r%g-%g" % k)
+    def test_all_schemes_match_each_alone(self, kind, equal_gain):
+        cfg, points, channels = _stack_case(kind, equal_gain)
+        params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
+        phased = equal_gain == "phased"
+        schemes = (1, 2, 3, 4)
+        stacked = batch.solve(schemes, batch.ChannelBatch(channels), params,
+                              equal_gain_phased=phased)
+        for s, scheme in enumerate(schemes):
+            got = _scheme_slice(stacked, s)
+            alone = _scheme_slice(batch.solve(
+                (scheme,), batch.ChannelBatch(channels), params,
+                equal_gain_phased=phased), 0)
+            for field in ("p_r", "beta", "margins"):
+                a, b = getattr(got, field), getattr(alone, field)
+                # bit for bit: NaN equals NaN, 0.0 differs from -0.0
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (
+                    scheme, field)
+            assert got.status.tolist() == alone.status.tolist(), scheme
+        if kind == "edge":
+            assert "ok" in stacked.status
+            assert "failed:DegenerateChannelError" in stacked.status
+
+    def test_schemes_sorted_and_distinct(self):
+        params = batch.OperatingPoints([_point_params(ScenarioConfig(), 20.0,
+                                                      10.0)])
+        chans = batch.ChannelBatch([gen_channel(1, 4)])
+        for schemes in ((2, 1), (3, 3), ()):
+            with pytest.raises(ValueError):
+                batch.solve(schemes, chans, params)
 
 
 def _fmt_reference(x) -> str:
@@ -353,8 +424,9 @@ def _records_reference(cfg, points, channels):
     chans = batch.ChannelBatch(channels)
     records = []
     for scheme in sorted(cfg.schemes):
-        res = batch.solve(scheme, chans, params,
-                          equal_gain_phased=(cfg.equal_gain == "phased"))
+        res = _scheme_slice(batch.solve(
+            (scheme,), chans, params,
+            equal_gain_phased=(cfg.equal_gain == "phased")), 0)
         for p, (snr_db, pc_dbm) in enumerate(points):
             for t, ch in enumerate(channels):
                 status = res.status[p, t]
@@ -494,8 +566,10 @@ class TestColumnarOutput:
 
 def _oracle_reference(channel, params, resolution):
     """Brute-force N=2 grid oracle: the max of the two user terms over the
-    full grid-by-grid product, 512 combiner columns at a time, NaN (gain
-    floor) entries skipped. Reference for the Pareto-pruned `oracle_grid`."""
+    full grid-by-grid product, formed in 256 x 256 blocks of two reused
+    buffers. A grid point at or below the gain floor gets +inf factors,
+    so its pairs never set the minimum. Reference for the Pareto-pruned
+    `oracle_grid`."""
     h1 = np.asarray(channel.h1)
     h2 = np.asarray(channel.h2)
     th = rate_thresholds(params)
@@ -512,17 +586,20 @@ def _oracle_reference(channel, params, resolution):
           + params.sigma2 * (th.theta_r1 - 1.0) + 2.0 * params.p_c / params.eta)
     a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)
           + params.sigma2 * (th.theta_r2 - 1.0) + 2.0 * params.p_c / params.eta)
+    inv1, inv2 = 1.0 / hd1, 1.0 / hd2
+    for v in (inv1, inv2, a1, a2):
+        v[np.isnan(v)] = np.inf
+    n, block = len(a1), 256
+    x, y = np.empty((block, block)), np.empty((block, block))
     best = np.inf
-    chunk = 512
-    for i in range(0, len(a1), chunk):
-        m = np.maximum(np.outer(1.0 / hd1, a1[i:i + chunk]),
-                       np.outer(1.0 / hd2, a2[i:i + chunk]))
-        if np.all(np.isnan(m)):
-            continue
-        v = np.nanmin(m)
-        if v < best:
-            best = float(v)
-    return best
+    for r in range(0, n, block):
+        for c in range(0, n, block):
+            xs = x[:min(block, n - r), :min(block, n - c)]
+            ys = y[:xs.shape[0], :xs.shape[1]]
+            np.multiply(inv1[r:r + block, None], a1[c:c + block], out=xs)
+            np.multiply(inv2[r:r + block, None], a2[c:c + block], out=ys)
+            best = min(best, np.maximum(xs, ys, out=xs).min())
+    return float(best)
 
 
 def _n2_params(snr_db, pc_dbm):
@@ -877,6 +954,9 @@ class TestCli:
                       # indices of 8e300 and 2.5e299 do not fit an int64
                       ["lattice-demo", "--scales", "1e-300,4,8"],
                       ["lattice-demo", "--scales", "1,4,1e300"],
+                      # an index of 1e15 fits an int64, but its codebook
+                      # exceeds `lattice.MAX_CODEBOOK`
+                      ["lattice-demo", "--scales", "1,4,1e15"],
                       ["oracle-check", "--n", "4"],
                       ["oracle-check", "--channels", "0"],
                       ["oracle-check", "--max-iter", "0"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cofrelay import lattice
-from cofrelay.errors import DimensionError, NestingError
+from cofrelay.errors import ConfigError, DimensionError, NestingError
 
 Z = lattice.scaled_integers(1.0)
 Z2 = lattice.scaled_integers(1.0, 2)
@@ -180,6 +180,17 @@ class TestCodebook:
         with pytest.raises(NestingError, match="index"):
             lattice.enumerate_codebook(lattice.scaled_integers(fine),
                                        lattice.scaled_integers(shaping))
+
+    def test_size_limit(self):
+        # the largest codebook is built; one more codeword is refused, and a
+        # product of 1e15 codewords fails before its axes are allocated
+        big = lattice.scaled_integers(float(lattice.MAX_CODEBOOK))
+        assert len(lattice.enumerate_codebook(Z, big)) == lattice.MAX_CODEBOOK
+        for fine, shaping in ((Z, lattice.scaled_integers(
+                                   lattice.MAX_CODEBOOK + 1.0)),
+                              (Z2, lattice.Lattice(np.diag([1e15, 1e15])))):
+            with pytest.raises(ConfigError, match="codebook"):
+                lattice.enumerate_codebook(fine, shaping)
 
 
 class TestChain:

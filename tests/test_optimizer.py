@@ -222,10 +222,10 @@ class TestJointDesign:
         params = [units_from_config(with_overrides(cfg, snr_db=s, pc_dbm=p))
                   for s, p in points]
         channels = [rand_channel(t, n=2) for t in range(8)]
-        res = batch.solve(1, batch.ChannelBatch(channels),
+        res = batch.solve((1,), batch.ChannelBatch(channels),
                           batch.OperatingPoints(params))
         assert (res.status == "ok").all()
-        for p_r, par in zip(res.p_r, params):
+        for p_r, par in zip(res.p_r[0], params):
             for p, ch in zip(p_r, channels):
                 oracle = harness.oracle_grid(ch, par, resolution=192)
                 assert p <= oracle * (1 + 1e-12)
