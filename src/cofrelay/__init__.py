@@ -31,7 +31,8 @@ from .numerics import eig_hermitian, real_embed, trace_inner
 from .optimizer import (AlternationTrace, SchemeId, alternate,
                         equal_gain_vector, run_scheme)
 from .scenario import (ChannelRealization, ScenarioConfig, fig2_preset,
-                       fig3_preset, gen_channel, parse_config, render_config,
+                       fig3_preset, gen_channel, gen_channels, parse_config,
+                       render_config,
                        trial_seed, units_from_config)
 from .sdp import SdpInstance, SdpSolution, solve_sdp
 
@@ -46,7 +47,7 @@ __all__ = [
     "TrialRecord", "UnboundedError", "alternate", "check_rates",
     "cof_roundtrip", "complete_design", "constraint_rhs", "eig_hermitian", "enumerate_codebook",
     "equal_gain_vector", "fig2_preset", "fig3_preset", "gen_channel",
-    "lattice_demo", "mmse_alpha", "mod_lattice", "oracle_grid", "parse_config",
+    "gen_channels", "lattice_demo", "mmse_alpha", "mod_lattice", "oracle_grid", "parse_config",
     "quantize", "rank_one_extract", "real_embed", "recover_beta",
     "render_config", "required_power", "run_scheme", "run_sweep",
     "second_moment", "solve_beamformer", "solve_combiner", "solve_sdp",

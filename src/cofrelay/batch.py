@@ -107,14 +107,22 @@ def frontier_bases(h1, h2) -> FrontierBases:
 
 
 class ChannelBatch:
-    """T channel draws as one (T, 2, N) array, with the per-channel
+    """T channel draws as one (T, 2, N) array ``h`` with their (T,) seeds,
+    as `scenario.gen_channels` returns them, and the per-channel
     quantities that every scheme shares computed once."""
 
-    def __init__(self, channels):
-        self.channels = list(channels)
-        self.h = np.array([(ch.h1, ch.h2) for ch in self.channels],
-                          dtype=complex)
-        self.n = self.h.shape[2]
+    def __init__(self, h, seeds):
+        self.h = h
+        self.seeds = seeds
+        self.n = h.shape[2]
+
+    @classmethod
+    def stack(cls, channels):
+        """The batch of a list of `scenario.ChannelRealization`s."""
+        channels = list(channels)
+        return cls(np.array([(ch.h1, ch.h2) for ch in channels],
+                            dtype=complex),
+                   np.array([ch.seed for ch in channels], dtype=np.uint64))
 
     @cached_property
     def basis(self) -> FrontierBases:
@@ -261,7 +269,7 @@ def solve(schemes, batch: ChannelBatch, points: OperatingPoints,
     schemes = tuple(map(SchemeId, schemes))
     if not schemes or schemes != tuple(sorted(set(schemes))):
         raise ValueError("schemes must be sorted, distinct and at least one")
-    shape = (len(schemes), len(points), len(batch.channels))
+    shape = (len(schemes), len(points), len(batch.h))
     k = sum(s <= SchemeId.BF_PS_EGC_RECEIVER for s in schemes)
     board = _Board(shape)
     up, down = np.empty((2,) + shape), np.empty((2,) + shape)

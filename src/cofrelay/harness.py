@@ -1,8 +1,9 @@
 """Monte Carlo sweeps, the exhaustive N=2 oracle, and the lattice demo.
 
-A sweep draws one channel per trial from per-trial seed streams and solves
-every scheme in one stacked array pass over all (scheme, axis point,
-trial) records (`batch.solve`). The records stay in columns from there to
+A sweep draws one channel per trial from per-trial seed streams, as one
+(T, 2, N) array (`scenario.gen_channels`), and solves every scheme in one
+stacked array pass over all (scheme, axis point, trial) records
+(`batch.solve`). The records stay in columns from there to
 the file: a `RecordTable` holds one array per CSV column, in the order
 (snr_db, pc_dbm, scheme, trial) given by one stable `np.lexsort`, so
 duplicate axis values keep their order. `records_csv` formats the whole table in one
@@ -25,8 +26,8 @@ from . import batch, lattice
 # re-exported: no record with status ok has a margin below -MARGIN_SLACK
 from .design import MARGIN_SLACK, SystemParams, rate_thresholds  # noqa: F401
 from .errors import ConfigError, DegenerateChannelError, DimensionError
-from .scenario import (ScenarioConfig, db_from_power, gen_channel,
-                       point_params, trial_seed)
+from .scenario import (ScenarioConfig, db_from_power, gen_channels,
+                       point_params)
 
 RECORD_COLUMNS = ("scheme", "snr_db", "pc_dbm", "trial", "seed", "p_r_db",
                   "iterations", "beta1", "beta2", "margin_up1", "margin_up2",
@@ -120,21 +121,27 @@ def axis_points(cfg: ScenarioConfig):
 def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
               channels=None) -> RecordTable:
     """The records of one operating point (every configured scheme), by
-    scheme and trial: the batched pass of `run_sweep` at a single point."""
+    scheme and trial: the batched pass of `run_sweep` at a single point,
+    on the configured trials' channels or on the given list of
+    `scenario.ChannelRealization`s."""
     if channels is None:
-        channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
-                    for t in range(cfg.trials)]
-    return _run_batch(cfg, [(snr_db, pc_dbm)], channels)
+        chans = batch.ChannelBatch(*gen_channels(cfg.master_seed, cfg.trials,
+                                                 cfg.n))
+    else:
+        chans = batch.ChannelBatch.stack(channels)
+    return _run_batch(cfg, [(snr_db, pc_dbm)], chans)
 
 
-def _run_batch(cfg: ScenarioConfig, points, channels) -> RecordTable:
+def _run_batch(cfg: ScenarioConfig, points,
+               chans: batch.ChannelBatch) -> RecordTable:
     """The records of every configured scheme at every (snr_db, pc_dbm)
-    point, from one `batch.solve` pass over all (scheme, point, trial)
-    records, sorted by point, scheme and trial. Iterations are 0."""
+    point on the channels ``chans``, from one `batch.solve` pass over all
+    (scheme, point, trial) records, sorted by point, scheme and trial.
+    Iterations are 0."""
     params = batch.OperatingPoints(point_params(cfg, snr_db, pc_dbm)
                                    for snr_db, pc_dbm in points)
     schemes = sorted(cfg.schemes)
-    res = batch.solve(schemes, batch.ChannelBatch(channels), params,
+    res = batch.solve(schemes, chans, params,
                       equal_gain_phased=cfg.equal_gain == "phased")
     # (scheme, point, trial) order, flattened
     n_s, n_p, n_t = res.status.shape
@@ -146,13 +153,12 @@ def _run_batch(cfg: ScenarioConfig, points, channels) -> RecordTable:
     p_r_db[ok] = [db_from_power(p) for p in res.p_r.ravel()[ok].tolist()]
     snr_db, pc_dbm = (np.repeat(np.array(v, dtype=float), n_t)
                       for v in zip(*points))
-    seeds = np.array([ch.seed for ch in channels], dtype=object)
     columns = {
         "scheme": np.repeat(schemes, n_p * n_t),
         "snr_db": np.tile(snr_db, n_s),
         "pc_dbm": np.tile(pc_dbm, n_s),
         "trial": np.tile(np.arange(n_t), n_s * n_p),
-        "seed": np.tile(seeds, n_s * n_p),
+        "seed": np.tile(chans.seeds, n_s * n_p),
         "p_r_db": p_r_db,
         "iterations": np.zeros(len(status), dtype=int),
         "beta1": beta[0], "beta2": beta[1],
@@ -227,9 +233,9 @@ def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
     recorded with a failed status and excluded from the means; they never
     abort the sweep.
     """
-    channels = [gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
-                for t in range(cfg.trials)]
-    records = _run_batch(cfg, axis_points(cfg), channels)
+    chans = batch.ChannelBatch(*gen_channels(cfg.master_seed, cfg.trials,
+                                             cfg.n))
+    records = _run_batch(cfg, axis_points(cfg), chans)
     summaries = summarize(records)
     if records_path is not None:
         with open(records_path, "w") as fh:
@@ -418,7 +424,8 @@ def lattice_demo(scales=(1.0, 4.0, 8.0), dim: int = 8, seed: int = 0,
 
     Prints the codewords, dithers, expected and decoded relay targets and a
     match flag. With ``exhaustive`` (scalar chain), all codeword pairs are
-    swept instead of a single random draw. Returns the number of mismatches.
+    swept instead of a single random draw; more than `lattice.MAX_CODEBOOK`
+    pairs raise ConfigError. Returns the number of mismatches.
     """
     import sys
     out = out or sys.stdout
@@ -433,6 +440,9 @@ def lattice_demo(scales=(1.0, 4.0, 8.0), dim: int = 8, seed: int = 0,
     line_fine = lattice.scaled_integers(fine_s)
     cb1 = lattice.enumerate_codebook(line_fine, lattice.scaled_integers(coarse_s))
     cb2 = lattice.enumerate_codebook(line_fine, lattice.scaled_integers(mid_s))
+    if exhaustive and len(cb1) * len(cb2) > lattice.MAX_CODEBOOK:
+        raise ConfigError(f"exhaustive sweep of {len(cb1)} x {len(cb2)} "
+                          f"codeword pairs > {lattice.MAX_CODEBOOK} pairs")
     print(f"chain {fine_s:g}Z^{dim} / {mid_s:g}Z^{dim} / {coarse_s:g}Z^{dim}; "
           f"codebook sizes {len(cb1)} x {len(cb2)}", file=out)
 

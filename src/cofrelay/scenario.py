@@ -4,12 +4,26 @@ SNR is defined as 1/sigma^2 against unit-variance Rayleigh channels, and
 dBm-labelled circuit powers are read as dB over the same unit reference
 power (no pathloss model, so absolute watts are not meaningful here).
 Comparative quantities are invariant to a common shift of that reference.
+
+Trial t of master seed m draws its channel from the stream
+``default_rng(seed)`` with ``seed = SeedSequence([m, t]).generate_state(1,
+np.uint64)[0]``: numpy's SeedSequence (after O'Neill's ``seed_seq``)
+feeding PCG64 (O'Neill 2014), so every trial's channel is independent of
+the order and number of trials drawn. `gen_channel` and `trial_seed` draw
+one trial with numpy's own objects and are the reference. Sweeps draw
+their channels with `gen_channels`, bit for bit equal to `gen_channel`:
+from ARRAY_DRAW_MIN_TRIALS (5) trials on in one array pass, where numpy's
+seed hashing runs as uint32 array operations over the trial axis and each
+trial's PCG64 takes its four seed words directly; below that one trial at
+a time with `gen_channel`.
 """
 
 from dataclasses import dataclass, field, fields
+import functools
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .design import SystemParams
 from .errors import ConfigError
@@ -38,6 +52,144 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     """Stable per-trial seed stream, independent of execution order."""
     ss = np.random.SeedSequence([int(master_seed), int(trial_index)])
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# A sweep of fewer trials draws them one at a time with `gen_channel`: the
+# array pass costs 0.11-0.15 ms however few trials it draws (its two seed
+# hashings are some 100 numpy calls on arrays of T words), and then about
+# 3 us per trial against 30-50 us for `gen_channel` (BENCH_channel_draw.json)
+ARRAY_DRAW_MIN_TRIALS = 5
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the hash constants of its `mix_entropy` (A) and
+# `generate_state` (B), and the constants of its `mix`
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_SHIFT = np.uint32(16)
+_MASK32 = 0xFFFFFFFF
+# the pool words other than word i, as an index array for each i
+_OTHER_WORDS = tuple(np.array([j for j in range(_POOL_SIZE) if j != i])
+                     for i in range(_POOL_SIZE))
+
+
+@functools.lru_cache(maxsize=None)
+def _hash_constants(init, mult, count):
+    """The constants of ``count`` successive hashes from one hash constant
+    as two (count, 1) uint32 arrays: the constant each hash XORs in, and
+    the product by ``mult`` that it then multiplies by."""
+    xor, times = [], []
+    for _ in range(count):
+        xor.append(init)
+        init = init * mult & _MASK32
+        times.append(init)
+    return (np.array(xor, dtype=np.uint32)[:, None],
+            np.array(times, dtype=np.uint32)[:, None])
+
+
+def _hash(values, xor, times):
+    """numpy's ``hashmix`` of the uint32 ``values`` under the constants of
+    `_hash_constants` (the product wraps, as numpy's uint32 does)."""
+    values = (values ^ xor) * times
+    return values ^ (values >> _SHIFT)
+
+
+def _mix(x, y):
+    """numpy's ``mix`` of two uint32 arrays."""
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ (r >> _SHIFT)
+
+
+def _seed_state(entropy, n_words):
+    """``SeedSequence(e).generate_state(n_words, np.uint64)`` for every
+    column e of the (L, T) uint32 ``entropy``, as (n_words, T) uint64.
+
+    Column e holds the entropy's uint32 words, low word first. Shorter
+    columns may be padded with zero words up to the pool size: numpy pads
+    a short entropy with zero words itself, so the state is the same.
+    ``mix_entropy`` hashes each pool word, then mixes each word into
+    the other three in turn; the three mixes of one source word are one
+    array operation, since that word does not change while they run.
+    Words beyond the pool are then mixed into all four.
+    """
+    length, trials = entropy.shape
+    extra = max(0, length - _POOL_SIZE)
+    xor, times = _hash_constants(_INIT_A, _MULT_A,
+                                 _POOL_SIZE ** 2 + _POOL_SIZE * extra)
+    pool = np.zeros((_POOL_SIZE, trials), dtype=np.uint32)
+    pool[:min(length, _POOL_SIZE)] = entropy[:_POOL_SIZE]
+    pool = _hash(pool, xor[:_POOL_SIZE], times[:_POOL_SIZE])
+    k = _POOL_SIZE
+    for src, dst in enumerate(_OTHER_WORDS):
+        hashed = _hash(pool[src], xor[k:k + 3], times[k:k + 3])
+        pool[dst] = _mix(pool[dst], hashed)
+        k += 3
+    for word in entropy[_POOL_SIZE:]:
+        hashed = _hash(word, xor[k:k + _POOL_SIZE], times[k:k + _POOL_SIZE])
+        pool = _mix(pool, hashed)
+        k += _POOL_SIZE
+    # generate_state cycles through the pool; uint64 word i is uint32
+    # words 2i (low) and 2i + 1 (high), put together by shifts
+    xor, times = _hash_constants(_INIT_B, _MULT_B, 2 * n_words)
+    state = _hash(pool[np.arange(2 * n_words) % _POOL_SIZE], xor, times)
+    state = state.astype(np.uint64)
+    return state[0::2] | (state[1::2] << np.uint64(32))
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is given: PCG64 asks for four uint64
+    words, and these are the ones ``SeedSequence(seed)`` would give."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def gen_channels(master_seed: int, trials: int, n: int):
+    """The (trials, 2, n) complex channels and (trials,) uint64 seeds of a
+    sweep, bit for bit ``gen_channel(trial_seed(master_seed, t), n)`` for
+    every trial t.
+
+    From ARRAY_DRAW_MIN_TRIALS trials on, `_seed_state` hashes the entropy
+    [master_seed, t] of all trials into their seeds, and each seed into its
+    four PCG64 words; each trial's generator then draws its normals into
+    one buffer, and the complex entries are formed once over the buffer.
+    """
+    if n < 1:
+        raise ValueError("need at least one antenna")
+    if master_seed < 0:
+        raise ValueError("master seed must be >= 0")
+    if trials > 1 << 32:
+        raise ValueError("trial indices must fit one uint32 word")
+    if trials < ARRAY_DRAW_MIN_TRIALS:
+        h = np.empty((trials, 2, n), dtype=complex)
+        seeds = np.empty(trials, dtype=np.uint64)
+        for t in range(trials):
+            ch = gen_channel(trial_seed(master_seed, t), n)
+            h[t] = ch.h1, ch.h2
+            seeds[t] = ch.seed
+        return h, seeds
+    words, m = [], int(master_seed)
+    while True:
+        words.append(m & _MASK32)
+        m >>= 32
+        if not m:
+            break
+    entropy = np.empty((len(words) + 1, trials), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = np.arange(trials, dtype=np.uint32)
+    seeds = _seed_state(entropy, 1)[0]
+    entropy = np.array([seeds & np.uint64(_MASK32), seeds >> np.uint64(32)],
+                       dtype=np.uint32)
+    state = np.ascontiguousarray(_seed_state(entropy, 4).T)
+    draws = np.empty((trials, 2, n, 2))
+    for t in range(trials):
+        rng = np.random.Generator(np.random.PCG64(_SeedWords(state[t])))
+        rng.standard_normal(out=draws[t])
+    return (draws[..., 0] + 1j * draws[..., 1]) / math.sqrt(2.0), seeds
 
 
 def db_from_power(p: float) -> float:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cofrelay import batch, cli, harness
+from cofrelay import batch, cli, harness, lattice
 from cofrelay.design import (SystemParams, check_rates, rate_thresholds,
                              recover_beta, required_power, verify_rates)
 from cofrelay.errors import (CofRelayError, ConfigError, DimensionError,
@@ -235,8 +235,8 @@ class TestBatchParity:
         # all schemes and points in one batch: failed records stay NaN
         # beside good ones
         params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
-        res = batch.solve((1, 2, 3, 4), batch.ChannelBatch(channels), params,
-                          equal_gain_phased=(equal_gain == "phased"))
+        res = batch.solve((1, 2, 3, 4), batch.ChannelBatch.stack(channels),
+                          params, equal_gain_phased=(equal_gain == "phased"))
         for s, scheme in enumerate((1, 2, 3, 4)):
             for p, par in enumerate(params.params):
                 for t, ch in enumerate(channels):
@@ -309,7 +309,7 @@ class TestBatchParity:
         channels = [gen_channel(trial_seed(3, t), 4) for t in range(4)]
         points = batch.OperatingPoints(
             [_point_params(ScenarioConfig(), 20.0, 10.0)])
-        w, unit, up, down = batch.ChannelBatch(channels).equal_gain(True)
+        w, unit, up, down = batch.ChannelBatch.stack(channels).equal_gain(True)
         g = w.copy()
         g[1] = np.nan
         res = batch._tail(points, batch._Board((1, 1, len(channels))),
@@ -326,7 +326,7 @@ class TestBatchParity:
         channels = [gen_channel(trial_seed(3, t), 4) for t in range(8)]
         par = _point_params(ScenarioConfig(), 20.0, 10.0)
         points = batch.OperatingPoints([par])
-        w, unit, up, down = batch.ChannelBatch(channels).equal_gain(True)
+        w, unit, up, down = batch.ChannelBatch.stack(channels).equal_gain(True)
         with np.errstate(divide="ignore", invalid="ignore"):  # as in solve
             res = batch._tail(points, batch._Board((1, 1, len(channels))),
                               unit, up, down, scale * points.rhs(up))
@@ -382,12 +382,12 @@ class TestSchemeStack:
         params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
         phased = equal_gain == "phased"
         schemes = (1, 2, 3, 4)
-        stacked = batch.solve(schemes, batch.ChannelBatch(channels), params,
-                              equal_gain_phased=phased)
+        stacked = batch.solve(schemes, batch.ChannelBatch.stack(channels),
+                              params, equal_gain_phased=phased)
         for s, scheme in enumerate(schemes):
             got = _scheme_slice(stacked, s)
             alone = _scheme_slice(batch.solve(
-                (scheme,), batch.ChannelBatch(channels), params,
+                (scheme,), batch.ChannelBatch.stack(channels), params,
                 equal_gain_phased=phased), 0)
             for field in ("p_r", "beta", "margins"):
                 a, b = getattr(got, field), getattr(alone, field)
@@ -402,7 +402,7 @@ class TestSchemeStack:
     def test_schemes_sorted_and_distinct(self):
         params = batch.OperatingPoints([_point_params(ScenarioConfig(), 20.0,
                                                       10.0)])
-        chans = batch.ChannelBatch([gen_channel(1, 4)])
+        chans = batch.ChannelBatch.stack([gen_channel(1, 4)])
         for schemes in ((2, 1), (3, 3), ()):
             with pytest.raises(ValueError):
                 batch.solve(schemes, chans, params)
@@ -421,7 +421,7 @@ def _records_reference(cfg, points, channels):
     trial) of the `batch.solve` results, then a stable sort by (snr_db,
     pc_dbm, scheme, trial). Reference for `harness._run_batch`."""
     params = batch.OperatingPoints(_point_params(cfg, *p) for p in points)
-    chans = batch.ChannelBatch(channels)
+    chans = batch.ChannelBatch.stack(channels)
     records = []
     for scheme in sorted(cfg.schemes):
         res = _scheme_slice(batch.solve(
@@ -487,7 +487,8 @@ def _summarize_reference(records) -> list:
 def _assert_same_output(cfg, points, channels):
     """The columnar table holds the values of the per-record references
     bit for bit (repr is exact and prints NaN) and prints their bytes."""
-    table = harness._run_batch(cfg, points, channels)
+    table = harness._run_batch(cfg, points,
+                               batch.ChannelBatch.stack(channels))
     ref = _records_reference(cfg, points, channels)
     assert repr(list(table)) == repr(ref)
     assert harness.records_csv(table) == _records_csv_reference(ref)
@@ -848,6 +849,21 @@ class TestLatticeDemo:
         assert mismatches == 0
         assert "32 pairs, 0 mismatches" in out.getvalue()
 
+    def test_exhaustive_pair_bound(self, monkeypatch):
+        # 512 x 256 pairs: each codebook is within `lattice.MAX_CODEBOOK`,
+        # their product is refused before anything is printed
+        out = io.StringIO()
+        with pytest.raises(ConfigError):
+            harness.lattice_demo(scales=(1.0, 256.0, 512.0), exhaustive=True,
+                                 out=out)
+        assert out.getvalue() == ""
+        # the bound itself is allowed: 8 x 4 pairs at the default scales
+        monkeypatch.setattr(lattice, "MAX_CODEBOOK", 31)
+        with pytest.raises(ConfigError):
+            harness.lattice_demo(exhaustive=True, out=out)
+        monkeypatch.setattr(lattice, "MAX_CODEBOOK", 32)
+        assert harness.lattice_demo(exhaustive=True, out=out) == 0
+
     def test_random_draw(self):
         out = io.StringIO()
         mismatches = harness.lattice_demo(dim=6, seed=9, out=out)
@@ -913,17 +929,15 @@ class TestCli:
         assert len(lines) == 1 + 7
 
     def test_failure_budget_exit_code(self, tmp_path, monkeypatch):
-        real = harness.gen_channel
+        real = harness.gen_channels
 
-        def dead_user(seed, n):
+        def dead_user(master_seed, trials, n):
             # a zero channel toward user 1 on every even seed
-            ch = real(seed, n)
-            if ch.seed % 2:
-                return ch
-            return ChannelRealization(h1=np.zeros(n, dtype=complex),
-                                      h2=ch.h2, seed=ch.seed)
+            h, seeds = real(master_seed, trials, n)
+            h[seeds % 2 == 0, 0] = 0.0
+            return h, seeds
 
-        monkeypatch.setattr(harness, "gen_channel", dead_user)
+        monkeypatch.setattr(harness, "gen_channels", dead_user)
         rc = cli.main(["sweep", "--trials", "6", "--schemes", "4",
                        "--axis", "none", "--out-dir", str(tmp_path)])
         assert rc == 2
@@ -957,6 +971,10 @@ class TestCli:
                       # an index of 1e15 fits an int64, but its codebook
                       # exceeds `lattice.MAX_CODEBOOK`
                       ["lattice-demo", "--scales", "1,4,1e15"],
+                      # codebooks of 512 and 256 codewords, but 131 072
+                      # round trips
+                      ["lattice-demo", "--exhaustive", "--scales",
+                       "1,256,512"],
                       ["oracle-check", "--n", "4"],
                       ["oracle-check", "--channels", "0"],
                       ["oracle-check", "--max-iter", "0"],

@@ -222,7 +222,7 @@ class TestJointDesign:
         params = [units_from_config(with_overrides(cfg, snr_db=s, pc_dbm=p))
                   for s, p in points]
         channels = [rand_channel(t, n=2) for t in range(8)]
-        res = batch.solve((1,), batch.ChannelBatch(channels),
+        res = batch.solve((1,), batch.ChannelBatch.stack(channels),
                           batch.OperatingPoints(params))
         assert (res.status == "ok").all()
         for p_r, par in zip(res.p_r[0], params):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cofrelay import scenario
+from cofrelay import batch, harness, scenario
 from cofrelay.errors import ConfigError
 
 
@@ -35,6 +35,59 @@ class TestGenChannel:
         rev = [scenario.trial_seed(5, t) for t in reversed(range(10))]
         assert fwd == rev[::-1]
         assert len(set(fwd)) == 10
+
+
+def _numpy_channels(master_seed, trials, n):
+    """The channels and seeds of `scenario.gen_channels` from numpy's own
+    SeedSequence and default_rng, one trial at a time."""
+    seeds = [np.random.SeedSequence([master_seed, t]).generate_state(
+        1, np.uint64)[0] for t in range(trials)]
+    draws = np.array([np.random.default_rng(seed).standard_normal((2, n, 2))
+                      for seed in seeds])
+    h = (draws[..., 0] + 1j * draws[..., 1]) / math.sqrt(2.0)
+    return h, np.array(seeds, dtype=np.uint64)
+
+
+class TestGenChannels:
+    # word-count edges of the entropy [master_seed, t]: past 3 master
+    # words it outgrows the 4-word pool and takes numpy's extra mixing
+    @pytest.mark.parametrize("master_seed", [
+        0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 1, 2**200 + 7])
+    def test_matches_numpy(self, master_seed):
+        low = scenario.ARRAY_DRAW_MIN_TRIALS
+        for trials in (1, low - 1, low, 2 * low + 1):
+            for n in (1, 2, 4, 16):
+                h, seeds = scenario.gen_channels(master_seed, trials, n)
+                ref_h, ref_seeds = _numpy_channels(master_seed, trials, n)
+                assert seeds.dtype == np.uint64 and h.shape == (trials, 2, n)
+                assert np.array_equal(seeds, ref_seeds), (trials, n)
+                # bit for bit: tobytes tells 0.0 from -0.0
+                same = h.tobytes() == ref_h.tobytes()
+                assert same, (trials, n)
+
+    def test_array_pass_from_the_crossover(self, monkeypatch):
+        def per_trial(*args):
+            raise AssertionError("drew a trial with numpy's SeedSequence")
+
+        monkeypatch.setattr(scenario, "trial_seed", per_trial)
+        monkeypatch.setattr(scenario, "gen_channel", per_trial)
+        h, seeds = scenario.gen_channels(5, scenario.ARRAY_DRAW_MIN_TRIALS, 3)
+        assert h.shape == (scenario.ARRAY_DRAW_MIN_TRIALS, 2, 3)
+
+    @pytest.mark.parametrize("preset, master_seed", [
+        (scenario.fig2_preset, 2**96 + 1), (scenario.fig3_preset, 2**64)],
+        ids=("fig2", "fig3"))
+    def test_sweep_matches_per_trial_draws(self, preset, master_seed):
+        cfg = preset(master_seed=master_seed)
+        assert cfg.trials >= scenario.ARRAY_DRAW_MIN_TRIALS
+        channels = [scenario.gen_channel(scenario.trial_seed(master_seed, t),
+                                         cfg.n) for t in range(cfg.trials)]
+        per_trial = harness._run_batch(cfg, harness.axis_points(cfg),
+                                       batch.ChannelBatch.stack(channels))
+        records, _ = harness.run_sweep(cfg)
+        # a bool, so that a failure does not diff two 200 kB texts
+        same = harness.records_csv(records) == harness.records_csv(per_trial)
+        assert same
 
 
 class TestUnits:
