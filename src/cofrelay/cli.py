@@ -10,15 +10,16 @@ and ``lattice-demo``. Flags override config-file keys. Exit codes: 0 ok,
 import argparse
 from dataclasses import fields
 import functools
+import math
 import os
 import sys
 
 import numpy as np
 
-from . import harness, scenario
+from . import harness, lattice, scenario
 from .design import check_rates, verify_rates
 from .errors import CofRelayError, ConfigError
-from .optimizer import alternate, run_scheme
+from .optimizer import DEFAULT_MAX_ITER, DEFAULT_REL_TOL, alternate, run_scheme
 from .scenario import (ScenarioConfig, fig2_preset, fig3_preset, gen_channel,
                        parse_config, trial_seed, units_from_config,
                        with_overrides)
@@ -97,9 +98,9 @@ def _make_parser() -> _Parser:
     p = sub.add_parser("oracle-check", help="compare scheme 1 and the "
                        "alternation with the N=2 grid oracle")
     _add_config_overrides(p)
-    p.add_argument("--rel-tol", type=float, dest="rel_tol",
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                    help="stopping tolerance of the alternation")
-    p.add_argument("--max-iter", type=int, dest="max_iter",
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
                    help="iteration cap of the alternation")
     p.add_argument("--channels", type=int, default=20)
     p.add_argument("--resolution", type=int, default=64)
@@ -119,13 +120,11 @@ def _cmd_solve(args) -> int:
     cfg = _build_config(args)
     params = units_from_config(cfg)
     ch = gen_channel(trial_seed(cfg.master_seed, args.trial), cfg.n)
-    result = run_scheme(args.scheme, ch, params,
-                        equal_gain_phased=(cfg.equal_gain == "phased"))
-    d = result.design
+    d = run_scheme(args.scheme, ch, params,
+                   equal_gain_phased=(cfg.equal_gain == "phased"))
     report = check_rates(verify_rates(d, ch, params))
     print(f"scheme {args.scheme}, trial {args.trial}, seed {ch.seed}")
-    print(f"P_r = {d.p_r:.9g} ({scenario.db_from_power(d.p_r):.4f} dB), "
-          f"iterations = {result.iterations}")
+    print(f"P_r = {d.p_r:.9g} ({scenario.db_from_power(d.p_r):.4f} dB)")
     print(f"f = {np.array2string(d.f, precision=4)}")
     print(f"g = {np.array2string(d.g, precision=4)}")
     print(f"beta = ({d.beta[0]:.6f}, {d.beta[1]:.6f})")
@@ -166,6 +165,10 @@ def _cmd_oracle_check(args) -> int:
                           f"{harness.MAX_RESOLUTION}]")
     if args.channels < 1:
         raise _UsageError("--channels must be at least 1")
+    if args.max_iter < 1:
+        raise _UsageError("--max-iter must be at least 1")
+    if not 0.0 <= args.rel_tol < math.inf:
+        raise _UsageError("--rel-tol must be finite and >= 0")
     cfg = with_overrides(_build_config(args), n=2)
     params = units_from_config(cfg)
     db = scenario.db_from_power
@@ -173,9 +176,10 @@ def _cmd_oracle_check(args) -> int:
     print(f"{args.channels} channels at N=2, resolution {args.resolution}")
     for t in range(args.channels):
         ch = gen_channel(trial_seed(cfg.master_seed, t), 2)
-        trace = alternate(ch, params, max_iter=cfg.max_iter, rel_tol=cfg.rel_tol)
+        trace = alternate(ch, params, max_iter=args.max_iter,
+                          rel_tol=args.rel_tol)
         p_alt = db(trace.final.p_r)
-        p_joint = db(run_scheme(1, ch, params).design.p_r)
+        p_joint = db(run_scheme(1, ch, params).p_r)
         oracle = db(harness.oracle_grid(ch, params, resolution=args.resolution))
         alt_diffs.append(p_alt - oracle)
         joint_diffs.append(p_joint - oracle)
@@ -189,15 +193,19 @@ def _cmd_oracle_check(args) -> int:
 
 
 def _cmd_lattice_demo(args) -> int:
-    scales = tuple(float(v) for v in args.scales.split(","))
+    try:
+        scales = tuple(float(v) for v in args.scales.split(","))
+    except ValueError:
+        scales = ()
     if len(scales) != 3:
-        raise _UsageError("--scales needs exactly three comma-separated values")
-    if args.dim < 1:
-        raise _UsageError("--dim must be at least 1")
+        raise _UsageError("--scales needs exactly three comma-separated numbers")
+    # the demo draws dim codewords per user; refused before any allocation
+    if not 1 <= args.dim <= lattice.MAX_CODEBOOK:
+        raise _UsageError(f"--dim must be in [1, {lattice.MAX_CODEBOOK}]")
     if args.seed < 0:
         raise _UsageError("--seed must be >= 0")
-    if not args.sigma2 >= 0.0:
-        raise _UsageError("--sigma2 must be >= 0")
+    if not 0.0 <= args.sigma2 < math.inf:
+        raise _UsageError("--sigma2 must be finite and >= 0")
     harness.lattice_demo(scales=scales, dim=args.dim, seed=args.seed,
                          sigma2=args.sigma2, exhaustive=args.exhaustive)
     return EXIT_OK

@@ -30,7 +30,7 @@ from .scenario import (ScenarioConfig, db_from_power, gen_channels,
                        point_params)
 
 RECORD_COLUMNS = ("scheme", "snr_db", "pc_dbm", "trial", "seed", "p_r_db",
-                  "iterations", "beta1", "beta2", "margin_up1", "margin_up2",
+                  "beta1", "beta2", "margin_up1", "margin_up2",
                   "margin_down1", "margin_down2", "status")
 SUMMARY_COLUMNS = ("scheme", "snr_db", "pc_dbm", "mean_p_r_db", "stderr_p_r_db",
                    "trials", "failures")
@@ -38,7 +38,7 @@ SUMMARY_COLUMNS = ("scheme", "snr_db", "pc_dbm", "mean_p_r_db", "stderr_p_r_db",
 # significant digits ("%.9g" is the conversion of format(x, ".9g"), so NaN
 # prints as "nan" and -0.0 as "-0")
 _ROW_FORMAT = ",".join(
-    "%d" if c in ("scheme", "trial", "seed", "iterations")
+    "%d" if c in ("scheme", "trial", "seed")
     else "%s" if c == "status" else "%.9g" for c in RECORD_COLUMNS) + "\n"
 # one summary.csv row: (scheme, snr_db, pc_dbm, mean_p_r_db, stderr_p_r_db,
 # trials, failures)
@@ -58,7 +58,6 @@ class TrialRecord:
     trial: int
     seed: int
     p_r_db: float
-    iterations: int
     beta1: float
     beta2: float
     margin_up1: float
@@ -136,8 +135,7 @@ def _run_batch(cfg: ScenarioConfig, points,
                chans: batch.ChannelBatch) -> RecordTable:
     """The records of every configured scheme at every (snr_db, pc_dbm)
     point on the channels ``chans``, from one `batch.solve` pass over all
-    (scheme, point, trial) records, sorted by point, scheme and trial.
-    Iterations are 0."""
+    (scheme, point, trial) records, sorted by point, scheme and trial."""
     params = batch.OperatingPoints(point_params(cfg, snr_db, pc_dbm)
                                    for snr_db, pc_dbm in points)
     schemes = sorted(cfg.schemes)
@@ -160,7 +158,6 @@ def _run_batch(cfg: ScenarioConfig, points,
         "trial": np.tile(np.arange(n_t), n_s * n_p),
         "seed": np.tile(chans.seeds, n_s * n_p),
         "p_r_db": p_r_db,
-        "iterations": np.zeros(len(status), dtype=int),
         "beta1": beta[0], "beta2": beta[1],
         "margin_up1": margins[0], "margin_up2": margins[1],
         "margin_down1": margins[2], "margin_down2": margins[3],

@@ -27,37 +27,36 @@ MAX_CODEBOOK = 1 << 16  # codewords; about 20 MB of `CodebookEntry`
 
 @dataclass(frozen=True)
 class Lattice:
-    """A full-rank diagonal lattice {G k : k integer vector}, G = diag(d).
-
-    Its Voronoi cell is the box of half-widths |d_j| / 2, so the nearest
-    point, the cosets of a nested diagonal lattice and the codebook all
-    split into one question per axis (see `enumerate_codebook`).
+    """A full-rank diagonal lattice {diag(s) k : k integer vector}, held as
+    its 1-D per-axis scales s: finite, with cond(diag(s)) = max|s| / min|s|
+    at most 1e12. Its Voronoi cell is the box of half-widths |s_j| / 2, so
+    the nearest point, the cosets of a nested diagonal lattice and the
+    codebook all split into one question per axis (see `enumerate_codebook`).
     """
-    generator: np.ndarray
+    scales: np.ndarray
 
     def __post_init__(self):
-        g = np.atleast_2d(np.asarray(self.generator, dtype=float))
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionError(f"generator must be square, got shape {g.shape}")
-        if not np.all(np.isfinite(g)) or np.linalg.cond(g) > 1e12:
+        s = np.asarray(self.scales, dtype=float)
+        if s.ndim != 1 or not s.size:
+            raise DimensionError(f"scales must be nonempty and 1-D, got {s.shape}")
+        lo, hi = float(np.min(np.abs(s))), float(np.max(np.abs(s)))
+        if not (np.isfinite(s).all() and lo > 0.0 and hi / lo <= 1e12):
             raise DimensionError("generator must be finite and well conditioned")
-        if np.count_nonzero(g - np.diag(np.diagonal(g))):
-            raise DimensionError("generator must be diagonal")
-        object.__setattr__(self, "generator", g)
+        object.__setattr__(self, "scales", s)
 
     @property
     def dimension(self) -> int:
-        return self.generator.shape[0]
+        return len(self.scales)
 
     @property
     def volume(self) -> float:
-        """Covolume |det G| = volume of any fundamental domain."""
-        return abs(float(np.linalg.det(self.generator)))
+        """Covolume prod |s_j| = volume of any fundamental domain."""
+        return float(np.prod(np.abs(self.scales)))
 
 
 def scaled_integers(scale: float, dim: int = 1) -> Lattice:
     """The lattice scale * Z^dim."""
-    return Lattice(scale * np.eye(dim))
+    return Lattice(np.full(dim, float(scale)))
 
 
 def _quantize_diagonal(diag, p):
@@ -75,7 +74,7 @@ def quantize(lat: Lattice, p) -> np.ndarray:
     n = lat.dimension
     if p.shape[0] != n:
         raise DimensionError(f"point dimension {p.shape[0]} != lattice dimension {n}")
-    return _quantize_diagonal(np.diagonal(lat.generator), p)
+    return _quantize_diagonal(lat.scales, p)
 
 
 def mod_lattice(lat: Lattice, p) -> np.ndarray:
@@ -101,8 +100,8 @@ def second_moment(lat: Lattice, samples: int, seed: int = 0) -> SecondMomentEsti
     n = lat.dimension
     rng = np.random.default_rng(seed)
     unit = rng.random((samples, n)) - 0.5
-    pts = unit @ lat.generator.T
-    v = pts - _quantize_diagonal(np.diagonal(lat.generator), pts)
+    pts = unit * lat.scales
+    v = pts - _quantize_diagonal(lat.scales, pts)
     vals = np.sum(v * v, axis=1) / n
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(samples))
@@ -129,7 +128,7 @@ def _check_nested(sub: Lattice, sup: Lattice, what: str) -> np.ndarray:
         raise NestingError(f"{what}: dimension mismatch")
     # an overflowing ratio is an infinite index, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = np.diagonal(sub.generator) / np.diagonal(sup.generator)
+        ratio = sub.scales / sup.scales
         if np.max(np.abs(ratio - np.round(ratio))) > 1e-9:
             raise NestingError(f"{what}: subset relation violated")
     index = np.abs(np.round(ratio))
@@ -166,7 +165,7 @@ def enumerate_codebook(fine: Lattice, shaping: Lattice) -> list:
     if size > MAX_CODEBOOK:
         raise ConfigError(f"codebook of {size} > {MAX_CODEBOOK} codewords")
     axes = [np.arange(-(m // 2), m - m // 2) * abs(f)
-            for m, f in zip(index, np.diagonal(fine.generator))]
+            for m, f in zip(index, fine.scales)]
     return [CodebookEntry(point=np.array(p), index=i)
             for i, p in enumerate(itertools.product(*axes))]
 

@@ -32,6 +32,7 @@ from .design import (GAIN_FLOOR, SystemParams, TransceiverDesign,
 from .errors import (DegenerateChannelError, InfeasibleError,
                      SolverFailureError)
 
+# the alternation's stopping rule, also oracle-check's flag defaults
 DEFAULT_MAX_ITER = 50
 DEFAULT_REL_TOL = 1e-5
 
@@ -256,19 +257,13 @@ def angle_search(n1, a, c, psi_max, k, b):
     return np.where(f_c <= f_d, x_c, x_d)
 
 
-class SchemeResult:
-    def __init__(self, design: TransceiverDesign, iterations: int):
-        self.design = design
-        self.iterations = iterations
-
-
 def run_scheme(scheme, channel, params: SystemParams,
-               equal_gain_phased: bool = True) -> SchemeResult:
+               equal_gain_phased: bool = True) -> TransceiverDesign:
     """Solve one channel under one of the four compared schemes.
 
     Schemes 1 and 2 differ only in the combiner: the global optimum of
     `joint_combiner` or the equal-gain vector; both then take the
-    closed-form beamformer. No scheme iterates, so ``iterations`` is 0.
+    closed-form beamformer. Returns the completed `TransceiverDesign`.
     """
     scheme = SchemeId(scheme)
     if scheme in (SchemeId.JOINT_TRANSCEIVER_PS, SchemeId.BF_PS_EGC_RECEIVER):
@@ -278,18 +273,18 @@ def run_scheme(scheme, channel, params: SystemParams,
             g = equal_gain_vector(channel, phased=equal_gain_phased)
         bf = solve_beamformer(g, channel, params)
         p_r = required_power(bf.f, g, channel, params)
-        return SchemeResult(complete_design(bf.f, g, p_r, channel, params), 0)
+        return complete_design(bf.f, g, p_r, channel, params)
 
     if scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
         f = equal_gain_vector(channel, phased=equal_gain_phased)
         comb = solve_combiner(f, channel, params)
         p_r = required_power(f, comb.g, channel, params)
-        return SchemeResult(complete_design(f, comb.g, p_r, channel, params), 0)
+        return complete_design(f, comb.g, p_r, channel, params)
 
     if scheme is SchemeId.PS_ONLY:
         f = equal_gain_vector(channel, phased=equal_gain_phased)
         g = equal_gain_vector(channel, phased=equal_gain_phased)
         p_r = required_power(f, g, channel, params)
-        return SchemeResult(complete_design(f, g, p_r, channel, params), 0)
+        return complete_design(f, g, p_r, channel, params)
 
     raise ValueError(f"unhandled scheme {scheme}")

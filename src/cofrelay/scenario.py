@@ -223,15 +223,16 @@ class ScenarioConfig:
     axis: str = "none"              # none | snr | pc
     axis_values: tuple = ()
     equal_gain: str = "phased"      # phased | unphased
-    rel_tol: float = 1e-5
-    max_iter: int = 50
 
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        # trial indices are one uint32 word of each trial's seed entropy
+        if self.trials > 1 << 32:
+            raise ConfigError(f"trials must be <= 2^32, got {self.trials!r}")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        for name in ("eta", "snr_db", "pc_dbm", "r1_bar", "r2_bar", "rel_tol"):
+        for name in ("eta", "snr_db", "pc_dbm", "r1_bar", "r2_bar"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
@@ -256,10 +257,6 @@ class ScenarioConfig:
                                   f"constants, got {getattr(self, name)!r}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed!r}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter!r}")
-        if self.rel_tol < 0:
-            raise ConfigError(f"rel_tol must be >= 0, got {self.rel_tol!r}")
         if self.axis not in ("none", "snr", "pc"):
             raise ConfigError(f"axis must be none, snr or pc, got {self.axis!r}")
         if self.equal_gain not in ("phased", "unphased"):
@@ -269,6 +266,9 @@ class ScenarioConfig:
             raise ConfigError("scheme list must not be empty")
         if any(s not in (1, 2, 3, 4) for s in self.schemes):
             raise ConfigError(f"schemes must be drawn from 1..4, got {self.schemes}")
+        # each scheme's records are solved and summarised once
+        if len(set(self.schemes)) < len(self.schemes):
+            raise ConfigError(f"schemes must be distinct, got {self.schemes}")
         self.axis_values = tuple(float(v) for v in self.axis_values)
         if not all(map(math.isfinite, self.axis_values)):
             raise ConfigError(f"axis_values must be finite, got {self.axis_values}")
@@ -349,7 +349,7 @@ def _coerce(key, val):
             if key == "schemes":
                 return tuple(int(v) for v in items)
             return tuple(float(v) for v in items)
-        if key in ("n", "trials", "master_seed", "max_iter"):
+        if key in ("n", "trials", "master_seed"):
             return int(val)
         if key in ("axis", "equal_gain"):
             return val

@@ -57,6 +57,9 @@ class TestSweep:
                                                tmp_path / "s.csv")
         header = (tmp_path / "r.csv").read_text().splitlines()[0]
         assert header == ",".join(harness.RECORD_COLUMNS)
+        assert header == ("scheme,snr_db,pc_dbm,trial,seed,p_r_db,beta1,beta2,"
+                          "margin_up1,margin_up2,margin_down1,margin_down2,"
+                          "status")
         header = (tmp_path / "s.csv").read_text().splitlines()[0]
         assert header == ",".join(harness.SUMMARY_COLUMNS)
         assert len(records) == 2
@@ -127,15 +130,14 @@ def _point_params(cfg, snr_db, pc_dbm):
 
 
 def _scalar_reference(scheme, ch, params, phased):
-    """(status, iterations, (p_r, betas, margins) or None) of one record by
+    """(status, (p_r, betas, margins) or None) of one record by
     `run_scheme`, `verify_rates` and `check_rates`."""
     try:
-        res = run_scheme(scheme, ch, params, equal_gain_phased=phased)
-        report = check_rates(verify_rates(res.design, ch, params))
+        d = run_scheme(scheme, ch, params, equal_gain_phased=phased)
+        report = check_rates(verify_rates(d, ch, params))
     except CofRelayError as exc:
-        return f"failed:{type(exc).__name__}", 0, None
-    return "ok", res.iterations, (res.design.p_r, res.design.beta,
-                                  report.margins)
+        return f"failed:{type(exc).__name__}", None
+    return "ok", (d.p_r, d.beta, report.margins)
 
 
 def _assert_parity(records, cfg, channels):
@@ -147,11 +149,9 @@ def _assert_parity(records, cfg, channels):
         if point not in params:
             params[point] = _point_params(cfg, *point)
         ch = channels[r.trial]
-        status, iterations, ref = _scalar_reference(r.scheme, ch,
-                                                    params[point], phased)
+        status, ref = _scalar_reference(r.scheme, ch, params[point], phased)
         where = (r.scheme, point, r.trial)
-        assert (r.status, r.iterations, r.seed) == (status, iterations,
-                                                    ch.seed), where
+        assert (r.status, r.seed) == (status, ch.seed), where
         got = (r.p_r_db, r.beta1, r.beta2) + r.margins()
         if ref is None:
             assert all(math.isnan(v) for v in got), where
@@ -240,8 +240,8 @@ class TestBatchParity:
         for s, scheme in enumerate((1, 2, 3, 4)):
             for p, par in enumerate(params.params):
                 for t, ch in enumerate(channels):
-                    status, _, ref = _scalar_reference(scheme, ch, par,
-                                                       equal_gain == "phased")
+                    status, ref = _scalar_reference(scheme, ch, par,
+                                                    equal_gain == "phased")
                     assert res.status[s, p, t] == status
                     if ref is None:
                         assert math.isnan(res.p_r[s, p, t])
@@ -433,7 +433,7 @@ def _records_reference(cfg, points, channels):
                 p_r = float(res.p_r[p, t])
                 records.append(harness.TrialRecord(
                     scheme, snr_db, pc_dbm, t, ch.seed,
-                    db_from_power(p_r) if status == "ok" else math.nan, 0,
+                    db_from_power(p_r) if status == "ok" else math.nan,
                     *res.beta[:, p, t].tolist(), *res.margins[:, p, t].tolist(),
                     status))
     records.sort(key=lambda r: (r.snr_db, r.pc_dbm, r.scheme, r.trial))
@@ -879,7 +879,8 @@ class TestCli:
     def test_solve(self, capsys):
         rc = cli.main(["solve", "--n", "2", "--trial", "0", "--scheme", "4"])
         assert rc == 0
-        assert "P_r =" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "P_r =" in out and "iterations" not in out
 
     @pytest.mark.parametrize("equal_gain", ("phased", "unphased"))
     @pytest.mark.parametrize("scheme", (1, 2, 3, 4))
@@ -977,12 +978,26 @@ class TestCli:
                        "1,256,512"],
                       ["oracle-check", "--n", "4"],
                       ["oracle-check", "--channels", "0"],
+                      # the alternation's stopping rule, oracle-check's own
                       ["oracle-check", "--max-iter", "0"],
                       ["oracle-check", "--rel-tol", "-1"],
+                      ["oracle-check", "--rel-tol", "nan"],
+                      ["oracle-check", "--rel-tol", "inf"],
                       ["solve", "--trial", "-1"],
                       ["lattice-demo", "--seed", "-1"],
                       ["lattice-demo", "--dim", "0"],
+                      # the demo draws dim codewords per user; refused before
+                      # any per-axis array is allocated
+                      ["lattice-demo", "--dim", "100000000"],
                       ["lattice-demo", "--sigma2", "-1"],
+                      ["lattice-demo", "--sigma2", "inf"],
+                      ["lattice-demo", "--sigma2", "nan"],
+                      ["lattice-demo", "--scales", "a,4,8"],
+                      ["lattice-demo", "--scales", "1,,8"],
+                      ["sweep", "--schemes", "1,1"],
+                      ["sweep", "--schemes", "4,2,4"],
+                      # trial indices must fit a uint32 word
+                      ["sweep", "--trials", "4294967297"],
                       ["sweep", "--axis", "snr", "--axis-values", "10,10"],
                       ["sweep", "--axis", "pc", "--axis-values", "0,-0"],
                       ["sweep", "--axis", "snr", "--axis-values", "nan"],
@@ -1020,6 +1035,13 @@ class TestCli:
         assert cli.main(["oracle-check", "--channels", "1", "--resolution",
                          "32", "--rel-tol", "1e-3", "--max-iter", "5"]) == 0
         assert "diff range" in capsys.readouterr().out
+        # they are no configuration keys, for any command
+        for key in ("rel_tol=1e-3", "max_iter=5"):
+            cfg = tmp_path / "alt.cfg"
+            cfg.write_text(key + "\n")
+            for cmd in ("oracle-check", "sweep", "solve"):
+                assert cli.main([cmd, "--config", str(cfg)]) == cli.EXIT_USAGE
+                assert "unknown configuration key" in capsys.readouterr().err
 
     def test_sweep_builds_no_trial_record(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -52,15 +52,16 @@ class TestQuantize:
 
     def test_general_generator_rejected(self):
         # a rotated Z^2 copy: only products of scaled integer lines are
-        # lattices here
+        # lattices here, and any 2-D input is refused, diagonal or not
         th = 0.3
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        with pytest.raises(DimensionError):
-            lattice.Lattice(rot)
+        for generator in (rot, np.diag([1.0, 4.0])):
+            with pytest.raises(DimensionError):
+                lattice.Lattice(generator)
 
     def test_tie_on_negative_diagonal(self):
-        # diag(-4, -0.5): halfway points still go to the smaller coordinate
-        lat = lattice.Lattice(np.diag([-4.0, -0.5]))
+        # scales (-4, -0.5): halfway points still go to the smaller coordinate
+        lat = lattice.Lattice([-4.0, -0.5])
         assert np.array_equal(lattice.quantize(lat, [2.0, 0.25]), [0.0, 0.0])
         assert np.array_equal(lattice.quantize(lat, [-2.0, -0.25]), [-4.0, -0.5])
         assert np.array_equal(lattice.quantize(lat, [6.0, 0.75]), [4.0, 0.5])
@@ -68,6 +69,41 @@ class TestQuantize:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             lattice.quantize(Z2, [1.0])
+
+
+class TestScales:
+    def test_conditioning(self):
+        # max|s| / min|s| is the 2-norm condition number of diag(s); up to
+        # 1e12 is accepted, whatever the signs
+        for scales in ([1.0, -1e12], [-3e-6, 3e6], [5.0]):
+            lat = lattice.Lattice(scales)
+            assert lat.dimension == len(scales)
+            assert lat.scales.dtype == float
+        for scales in ([1.0, 1e12 * (1 + 1e-15)], [0.0, 4.0], [0.0, 0.0],
+                       [np.nan, 4.0], [1.0, np.inf], [1e-300, 1e300]):
+            with pytest.raises(DimensionError, match="well conditioned"):
+                lattice.Lattice(scales)
+
+    def test_not_one_dimensional(self):
+        for scales in (4.0, [], [[4.0]]):
+            with pytest.raises(DimensionError):
+                lattice.Lattice(scales)
+
+    def test_volume(self):
+        assert lattice.Lattice([-4.0, 0.5, 3.0]).volume == 6.0
+        assert lattice.scaled_integers(2.0, 5).volume == 32.0
+
+    def test_second_moment_matches_generator_product(self):
+        # reference: the samples times the dense generator diag(s)^T, whose
+        # extra terms are exact zeros, so the estimate keeps every bit
+        s = np.array([0.3, -7.0, 1e5])
+        lat = lattice.Lattice(s)
+        pts = (np.random.default_rng(5).random((1000, 3)) - 0.5) @ np.diag(s).T
+        v = pts - np.array([lattice.quantize(lat, p) for p in pts])
+        vals = np.sum(v * v, axis=1) / 3
+        est = lattice.second_moment(lat, 1000, seed=5)
+        assert est.value == float(np.mean(vals))
+        assert est.stderr == float(np.std(vals, ddof=1) / np.sqrt(1000))
 
 
 class TestMod:
@@ -148,8 +184,8 @@ class TestCodebook:
         ((-1.0, 0.25, 2.0), (2.0, -1.0, 6.0))])
     def test_product_chain_matches_brute_force(self, fine, shaping):
         # negative and non-integer scales, odd and even indices per axis
-        got = lattice.enumerate_codebook(lattice.Lattice(np.diag(fine)),
-                                         lattice.Lattice(np.diag(shaping)))
+        got = lattice.enumerate_codebook(lattice.Lattice(fine),
+                                         lattice.Lattice(shaping))
         expected = brute_force_codebook(fine, shaping)
         assert len(got) == len(expected)
         assert [e.index for e in got] == list(range(len(got)))
@@ -188,7 +224,7 @@ class TestCodebook:
         assert len(lattice.enumerate_codebook(Z, big)) == lattice.MAX_CODEBOOK
         for fine, shaping in ((Z, lattice.scaled_integers(
                                    lattice.MAX_CODEBOOK + 1.0)),
-                              (Z2, lattice.Lattice(np.diag([1e15, 1e15])))):
+                              (Z2, lattice.Lattice([1e15, 1e15]))):
             with pytest.raises(ConfigError, match="codebook"):
                 lattice.enumerate_codebook(fine, shaping)
 

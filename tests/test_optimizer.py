@@ -38,11 +38,9 @@ def fig2_params(snr_db, n):
 
 def joint_power(ch, par):
     """Scheme 1's relay power, after checking that its design meets every
-    rate target with betas in [0, 1], takes no iterations, and is no worse
-    than the paper's alternation."""
-    res = optimizer.run_scheme(1, ch, par)
-    d = res.design
-    assert res.iterations == 0
+    rate target with betas in [0, 1] and is no worse than the paper's
+    alternation."""
+    d = optimizer.run_scheme(1, ch, par)
     assert all(0.0 <= b <= 1.0 for b in d.beta)
     assert min(design.verify_rates(d, ch, par).margins) >= -1e-9
     assert d.p_r <= optimizer.alternate(ch, par).final.p_r * (1 + 1e-12)
@@ -128,14 +126,13 @@ class TestEqualGain:
 
 class TestSchemes:
     def test_scheme4_scalar(self):
-        res = optimizer.run_scheme(4, SCALAR_CH, SCALAR)
-        assert res.design.p_r == pytest.approx(3.0)
-        assert res.iterations == 0
+        d = optimizer.run_scheme(4, SCALAR_CH, SCALAR)
+        assert d.p_r == pytest.approx(3.0)
 
     def test_nesting_per_channel(self):
         for t in range(12):
             ch = rand_channel(t)
-            p = {s: optimizer.run_scheme(s, ch, FIG2).design.p_r
+            p = {s: optimizer.run_scheme(s, ch, FIG2).p_r
                  for s in (1, 2, 3, 4)}
             slack = 1 + 1e-6
             assert p[1] <= p[2] * slack
@@ -146,7 +143,7 @@ class TestSchemes:
     def test_nesting_unphased_variant(self):
         for t in range(6):
             ch = rand_channel(t)
-            p = {s: optimizer.run_scheme(s, ch, FIG2, equal_gain_phased=False).design.p_r
+            p = {s: optimizer.run_scheme(s, ch, FIG2, equal_gain_phased=False).p_r
                  for s in (1, 2, 3, 4)}
             slack = 1 + 1e-6
             assert p[1] <= min(p[2], p[3]) * slack
@@ -154,13 +151,13 @@ class TestSchemes:
 
     def test_scheme2_uses_egc_receiver(self):
         ch = rand_channel(4)
-        res = optimizer.run_scheme(2, ch, FIG2)
-        assert np.allclose(np.abs(res.design.g), 0.5)
+        d = optimizer.run_scheme(2, ch, FIG2)
+        assert np.allclose(np.abs(d.g), 0.5)
 
     def test_scheme3_uses_equal_gain_beamformer(self):
         ch = rand_channel(5)
-        res = optimizer.run_scheme(3, ch, FIG2)
-        assert np.allclose(np.abs(res.design.f), 0.5)
+        d = optimizer.run_scheme(3, ch, FIG2)
+        assert np.allclose(np.abs(d.f), 0.5)
 
     def test_no_sdp_on_sweep_path(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -174,8 +171,8 @@ class TestSchemes:
             for t in range(3):
                 ch = gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
                 for scheme in (1, 2, 3, 4):
-                    res = optimizer.run_scheme(scheme, ch, par)
-                    assert res.design.p_r > 0
+                    d = optimizer.run_scheme(scheme, ch, par)
+                    assert d.p_r > 0
 
     @pytest.mark.parametrize("scheme", (1, 2, 3, 4))
     @pytest.mark.parametrize("n", (2, 4, 8))
@@ -186,11 +183,11 @@ class TestSchemes:
             par = fig2_params(snr_db, n)
             for t in range(5):
                 ch = rand_channel(200 + t, n=n)
-                p = optimizer.run_scheme(scheme, ch, par).design.p_r
+                p = optimizer.run_scheme(scheme, ch, par).p_r
                 for c in (1e-3, 2.0, 1e3):
                     scaled = dataclasses.replace(
                         par, p_c=c * par.p_c, sigma2=c * par.sigma2)
-                    got = optimizer.run_scheme(scheme, ch, scaled).design.p_r
+                    got = optimizer.run_scheme(scheme, ch, scaled).p_r
                     assert got == pytest.approx(c * p, rel=1e-12)
 
     def test_bad_scheme(self):
@@ -366,7 +363,7 @@ class TestEqualTargetClosedForm:
         for (ch, par), basis, psi_c, psi_s in zip(cases, bases, closed, search):
             assert (_combiner_power(ch, par, basis, psi_c)
                     <= _combiner_power(ch, par, basis, psi_s) * (1 + 1e-12))
-            d = optimizer.run_scheme(1, ch, par).design
+            d = optimizer.run_scheme(1, ch, par)
             assert abs(np.vdot(d.f, d.g)) >= 1 - 1e-9
 
     @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
@@ -392,7 +389,7 @@ class TestEqualTargetClosedForm:
                 basis.n1, basis.a, basis.c, (1.0, 1.0))[0])
             g = np.conj(basis.vector(eq))
             p_eq = design.solve_beamformer(g, ch, par).p_r
-            p_opt = optimizer.run_scheme(1, ch, par).design.p_r
+            p_opt = optimizer.run_scheme(1, ch, par).p_r
             assert p_opt <= p_eq * (1 + 1e-12)
             worst = max(worst, p_eq / p_opt - 1.0)
         assert worst > 1e-3

@@ -118,7 +118,7 @@ class TestConfig:
         cfg = scenario.ScenarioConfig(n=3, snr_db=12.5, pc_dbm=-3.0, trials=7,
                                       master_seed=99, schemes=(1, 4),
                                       axis="snr", axis_values=(0.0, 5.0, 10.0),
-                                      equal_gain="unphased", rel_tol=1e-4)
+                                      equal_gain="unphased")
         again = scenario.parse_config(scenario.render_config(cfg))
         assert again == cfg
 
@@ -148,8 +148,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("key,value", [
         ("eta", 0.0), ("eta", 2.0), ("eta", -0.5), ("r1_bar", -1.0),
-        ("r2_bar", 0.0), ("master_seed", -1), ("max_iter", 0),
-        ("rel_tol", -1e-3), ("snr_db", 4000.0), ("snr_db", -4000.0),
+        ("r2_bar", 0.0), ("master_seed", -1), ("snr_db", 4000.0),
+        ("snr_db", -4000.0),
         ("pc_dbm", 4000.0), ("pc_dbm", -4000.0),
         pytest.param("axis_values", (math.nan,), id="axis_values-nan"),
         pytest.param("axis_values", (10.0, math.inf), id="axis_values-inf"),
@@ -158,6 +158,12 @@ class TestConfig:
         # sigma2 theta_{i,r} and 2 P_c / eta are not
         ("r1_bar", 600.0), ("r2_bar", 512.0), ("snr_db", -3080.0),
         ("pc_dbm", 3080.0),
+        # trial indices past 2^32 - 1 do not fit the uint32 word of the
+        # seed entropy
+        ("trials", 2 ** 32 + 1),
+        # a repeated scheme would solve and pool its records twice
+        pytest.param("schemes", (1, 1), id="schemes-repeated"),
+        pytest.param("schemes", (4, 2, 4), id="schemes-repeated-unsorted"),
         pytest.param("axis_values", {"axis": "snr", "axis_values": (0.0, -3080.0)},
                      id="axis_values-snr-3080"),
         pytest.param("axis_values", {"axis": "pc", "axis_values": (0.0, 3080.0)},
@@ -165,9 +171,9 @@ class TestConfig:
     def test_out_of_range_rejected(self, key, value):
         # SystemParams and SeedSequence would raise a bare ValueError later,
         # dB values this far out overflow or underflow in `power_from_db` or
-        # in the power constants, and max_iter = 0 would leave the
-        # alternation without a design; a sweep builds its points' parameters
-        # from the axis values unchecked. A dict value is a set of keys.
+        # in the power constants, and `batch.solve` needs distinct schemes;
+        # a sweep builds its points' parameters from the axis values
+        # unchecked. A dict value is a set of keys.
         fields = value if isinstance(value, dict) else {key: value}
         with pytest.raises(ConfigError):
             scenario.ScenarioConfig(**fields)
@@ -179,7 +185,7 @@ class TestConfig:
 
     def test_range_edges_accepted(self):
         cfg = scenario.ScenarioConfig(eta=1.0, r1_bar=1e-3, r2_bar=1e-3,
-                                      master_seed=0)
+                                      master_seed=0, trials=2 ** 32)
         assert scenario.units_from_config(cfg).eta == 1.0
         par = scenario.units_from_config(scenario.ScenarioConfig(
             snr_db=-3000.0, pc_dbm=-3200.0))
