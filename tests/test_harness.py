@@ -1026,6 +1026,18 @@ class TestCli:
             assert captured.err.startswith("error: ")
             assert "diff range" not in captured.out
 
+    @pytest.mark.parametrize("key,value", [("max_iter", 0),
+                                           ("rel_tol", -1e-3)])
+    def test_alternation_flag_out_of_range(self, key, value, capsys):
+        # the alternation's stopping rule is checked before any channel is
+        # drawn, by the rules the configuration keys once had
+        flag = "--" + key.replace("_", "-")
+        argv = ["oracle-check", "--channels", "1", f"{flag}={value}"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ")
+        assert captured.out == ""
+
     def test_alternation_flags_only_on_oracle_check(self, tmp_path, capsys):
         # only oracle-check runs the alternation that these flags steer
         assert cli.main(["sweep", "--rel-tol", "1e-3",
