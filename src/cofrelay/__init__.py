@@ -7,8 +7,9 @@ beamformer, receive combiner and per-user power splits (`design`,
 closed-form beamformer at each combiner angle), verify
 the rate targets, and aggregate Monte Carlo sweeps (`harness`), which run
 all schemes as one stacked array pass over (scheme, axis point, trial)
-(`batch`, the schemes of `optimizer.run_scheme` over arrays). The paper's
-semidefinite relaxation of the beamformer step
+(`batch`, the schemes of `optimizer.run_scheme` over arrays, on the same
+frontier basis and crossing code that `design` runs on one record). The
+paper's semidefinite relaxation of the beamformer step
 (`design.min_power_beamformer`, solved by the `sdp` interior-point method
 with `numerics`) is kept only as a certificate of the optimal power value,
 which the tests use. `lattice` holds the nested-lattice compute-and-forward

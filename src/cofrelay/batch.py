@@ -4,16 +4,16 @@
 `design.verify_rates` and `design.check_rates` for many records at once.
 The T channel draws are one (T, 2, N) array, the P operating points are
 (P, 1) columns of sigma2 and P_c, and every per-record quantity of the S
-schemes is one stacked (S, P, T) array. Each step repeats the float
-operations of its scalar original in the same order, and the parity tests
-bound what rounding leaves between the two paths. Every check of the
-scalar path is an array mask with the same threshold; a record that fails
-one carries the error class the scalar path would raise as its status.
-
-Both frontier steps call `design.frontier_crossings`, the crossing rule
-of the scalar combiner step too; at mu = 0 its tan phi is that of the
-scalar beamformer's closed form `design.frontier_crossing` bit for bit.
-The angle is then `math.atan` per record (`design.elementwise`).
+schemes is one stacked (S, P, T) array. The frontier steps call the code
+of the scalar steps on stacked arrays: the basis `design.frontier_basis`
+of every channel, the crossing rule `design.frontier_crossings` (at
+mu = 0 for the beamformer) and its `np.arctan`. The other steps repeat
+the float operations of their scalar originals in the same order, and
+`TestBatchParity` bounds what rounding leaves between the two paths in
+the scheme dispatch, right-hand sides, splitting ratios and rates. Every
+check of the scalar path is an array mask with the same threshold; a
+record that fails one carries the error class the scalar path would raise
+as its status.
 
 Scheme 1's combiner angle is one `optimizer.joint_angles` call on the
 (P, T) records, the routine that the scalar path calls on one record.
@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .design import (BETA_SLACK, COLLINEAR_TOL, GAIN_FLOOR, MARGIN_SLACK,
-                     UNIT_NORM_TOL, elementwise, frontier_crossings,
+from .design import (BETA_SLACK, GAIN_FLOOR, MARGIN_SLACK, UNIT_NORM_TOL,
+                     FrontierBasis, _dot, frontier_basis, frontier_crossings,
                      power_constants)
 from .errors import DegenerateChannelError, InfeasibleError
 from .optimizer import SchemeId, joint_angles
@@ -35,17 +35,6 @@ from .optimizer import SchemeId, joint_angles
 def _users_first(x):
     """Move the last axis to the front."""
     return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
-
-
-def _dot(x, y):
-    """Unconjugated x . y over the last axis, summed as np.dot sums one pair."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
-def _norm(x):
-    """np.linalg.norm over the last axis, with its summation."""
-    re, im = x.real, x.imag
-    return np.sqrt(_dot(re, re) + _dot(im, im))
 
 
 def _uplink(g, h):
@@ -57,53 +46,6 @@ def _uplink(g, h):
 def _downlink(h, f):
     """`design.downlink_gain` |h_i . f|^2, shaped as `_uplink`."""
     return _users_first(np.abs(_dot(h, f[..., None, :])) ** 2)
-
-
-def _complex(re, im):
-    out = np.empty(np.shape(re), dtype=complex)
-    out.real, out.imag = re, im
-    return out
-
-
-class FrontierBases(NamedTuple):
-    """`design.FrontierBasis` of every channel, one array per field.
-
-    On collinear channels (q2 None in the scalar basis) q2 is zero, c and
-    psi_max are 0 and the phase is 1, so that the only angle is 0 and u(0)
-    is q1 as in the scalar basis. A zero h1 gives NaN fields instead of an
-    error; `solve` fails those records with the error the scalar path
-    raises.
-    """
-    n1: np.ndarray
-    q1: np.ndarray
-    q2: np.ndarray
-    phase: np.ndarray
-    a: np.ndarray
-    c: np.ndarray
-    psi_max: np.ndarray
-
-    def vector(self, psi):
-        """u(psi) of every basis; psi broadcasts against the channels."""
-        return ((np.cos(psi) * self.phase)[..., None] * self.q1
-                + np.sin(psi)[..., None] * self.q2)
-
-
-def frontier_bases(h1, h2) -> FrontierBases:
-    """`design.frontier_basis` of each row pair of the (T, N) arrays h1, h2."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        n1 = _norm(h1)
-        q1 = h1 / n1[:, None]
-        c1 = _dot(q1.conj(), h2)
-        r = h2 - c1[:, None] * q1
-        c2 = _norm(r)
-        a = np.hypot(c1.real, c1.imag)
-        collinear = c2 < COLLINEAR_TOL * np.maximum(1.0, _norm(h2))
-        phase = np.where((a > 0.0) & ~collinear,
-                         _complex(c1.real / a, c1.imag / a), 1.0)
-        q2 = np.where(collinear[:, None], 0.0, r / c2[:, None])
-    c = np.where(collinear, 0.0, c2)
-    return FrontierBases(n1, q1, q2, phase, a, c,
-                         elementwise(math.atan2, c, a))
 
 
 class ChannelBatch:
@@ -125,8 +67,8 @@ class ChannelBatch:
                    np.array([ch.seed for ch in channels], dtype=np.uint64))
 
     @cached_property
-    def basis(self) -> FrontierBases:
-        return frontier_bases(self.h[:, 0], self.h[:, 1])
+    def basis(self) -> FrontierBasis:
+        return frontier_basis(self.h[:, 0], self.h[:, 1])
 
     def equal_gain(self, phased: bool):
         """`optimizer.equal_gain_vector` w of every channel, with `_unit`
@@ -206,11 +148,11 @@ class BatchResult(NamedTuple):
     status: np.ndarray    # objects: "ok" or "failed:<error class>"
 
 
-def _crossing_vector(basis: FrontierBases, rho, mu):
+def _crossing_vector(basis: FrontierBasis, rho, mu):
     """conj u(phi) at the angle of `design.frontier_crossings`: the vector
     of `design.solve_combiner`, and of `solve_beamformer` at mu = 0."""
     tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
-    return basis.vector(elementwise(math.atan, tan_phi)).conj()
+    return basis.vector(np.arctan(tan_phi)).conj()
 
 
 def _unit(v):
@@ -283,15 +225,14 @@ def solve(schemes, batch: ChannelBatch, points: OperatingPoints,
                 psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max,
                                    points.noise_up / points.eta,
                                    points.noise_dn + points.circuit)
-                # psi is (T,) at equal targets; `design.frontier_basis`
+                # psi is (T,) at equal targets; `optimizer.joint_combiner`
                 # raises on a zero h1, where g = 0 fails at the gain floor
                 g = np.where((basis.n1 > 0.0)[:, None], basis.vector(
                     np.reshape(psi, (1, -1, shape[2]))).conj(), 0.0)
             elif scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
-                g = (np.ones((1, 1, shape[2], 1), dtype=complex)
-                     if batch.n == 1 else _crossing_vector(
-                         batch.basis, points.noise_up / (points.eta * down_w),
-                         (points.noise_dn + points.circuit) / down_w))
+                g = _crossing_vector(
+                    batch.basis, points.noise_up / (points.eta * down_w),
+                    (points.noise_dn + points.circuit) / down_w)
             else:  # w, as is the beamformer of schemes 3 and 4
                 up[:, i:i + 1], unit[i] = up_w, unit_w
                 continue

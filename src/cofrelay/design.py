@@ -9,8 +9,10 @@ is its conjugate.
 Both subproblems, the beamformer step (fixed g, mu = 0) and the combiner
 step (fixed f), minimize max_i rho_i/|u^H h_i|^2 + mu_i over a unit u. The
 optimum lies on the gain frontier (`FrontierBasis`), so one crossing rule,
-`frontier_crossings`, solves both; `frontier_crossing` is its mu = 0 closed
-form in Python floats, for the per-record beamformer step.
+`frontier_crossings`, solves both. The basis, the crossing and the numpy
+angles of both work on any leading axes: the per-record steps here call
+them on one channel, and `batch` on the stacked channels of a sweep, so
+the two paths share their frontier arithmetic.
 
 All powers are linear; dB conversion happens at the scenario boundary.
 """
@@ -186,15 +188,28 @@ def min_power_beamformer(h_list, a_list) -> BeamformerDesign:
                             rank_ratio=ratio)
 
 
+def _dot(x, y):
+    """Unconjugated x . y over the last axis, summed as np.dot sums one pair."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
+
+
+def _norm(x):
+    """np.linalg.norm over the last axis, with its summation."""
+    re, im = x.real, x.imag
+    return np.sqrt(_dot(re, re) + _dot(im, im))
+
+
 class FrontierBasis(NamedTuple):
-    """Coordinates of the two-user gain frontier of (h1, h2).
+    """Coordinates of the two-user gain frontier of (h1, h2), one array
+    per field over the leading axes of the channels (0-d for one record).
 
     q1 = h1/n1 with n1 = |h1|, c1 = q1^H h2, A = |c1|, C = |h2 - c1 q1|,
     q2 = (h2 - c1 q1)/C, phase = c1/A and psi_max = atan2(C, A). The unit
     vectors u(psi) = cos(psi) phase q1 + sin(psi) q2, psi in [0, psi_max],
     carry every Pareto-optimal gain pair: |u^H h1|^2 = n1^2 cos^2 psi and
     |u^H h2|^2 = (A cos psi + C sin psi)^2. On collinear channels q2 is
-    None, C = psi_max = 0 and the frontier is the point q1.
+    zero, C = psi_max = 0 and the phase is 1, so the frontier is the point
+    u(0) = q1. A zero h1 gives NaN fields; callers fail it first.
 
     The optimal g and f are both conj(u(psi)) for some psi. Both steps see
     u only through the gains |u^H h_i|^2, to which a component outside
@@ -204,69 +219,43 @@ class FrontierBasis(NamedTuple):
     |u^H h1| = n1 |cos psi| and |u^H h2| <= A |cos psi| + C |sin psi|, with
     equality when the components of h2 add coherently, as in u(psi).
     """
-    n1: float
+    n1: np.ndarray
     q1: np.ndarray
     q2: np.ndarray
-    phase: complex
-    a: float
-    c: float
-    psi_max: float
+    phase: np.ndarray
+    a: np.ndarray
+    c: np.ndarray
+    psi_max: np.ndarray
 
     def vector(self, psi) -> np.ndarray:
-        """The unit vector u(psi)."""
-        if self.q2 is None:
-            return self.q1
-        return math.cos(psi) * self.phase * self.q1 + math.sin(psi) * self.q2
+        """The unit vector u(psi); psi broadcasts against the channels."""
+        return ((np.cos(psi) * self.phase)[..., None] * self.q1
+                + np.sin(psi)[..., None] * self.q2)
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def frontier_basis(h1, h2) -> FrontierBasis:
-    """The `FrontierBasis` of the channel pair (h1, h2)."""
-    n1 = float(np.linalg.norm(h1))
-    if n1 == 0.0:
-        raise DegenerateChannelError("zero channel toward user 1")
-    q1 = h1 / n1
-    c1 = complex(np.vdot(q1, h2))
-    r = h2 - c1 * q1
-    c2 = float(np.linalg.norm(r))
-    a1 = abs(c1)
-    phase = c1 / a1 if a1 > 0 else 1.0
-    if c2 < COLLINEAR_TOL * max(1.0, np.linalg.norm(h2)):
-        return FrontierBasis(n1, q1, None, phase, a1, 0.0, 0.0)
-    return FrontierBasis(n1, q1, r / c2, phase, a1, c2, math.atan2(c2, a1))
-
-
-def elementwise(fn, *arrays):
-    """fn applied elementwise in Python to numpy arrays or scalars of one
-    shape. Both paths take their angles from `math` through it, because
-    np.arctan and np.arctan2 differ from `math` in the last bit for about
-    1 argument in 400 and 1 in 14."""
-    flat = [x.ravel().tolist() for x in arrays]
-    return np.array([fn(*v) for v in zip(*flat)]).reshape(arrays[0].shape)
-
-
-def frontier_crossing(n1, a, c, rho):
-    """(tan phi, level) minimizing max(rho1/x1, rho2/x2) over the frontier
-    gains x_i of a `FrontierBasis` (n1, A, C): the mu = 0 case of
-    `frontier_crossings` in Python floats, with the same tan phi bit for
-    bit. With mu = 0 the crossing equation is linear in tan phi, with root
-    (n1 sqrt(rho2/rho1) - A)/C, clipped to [0, C/A]. Both rho_i must be
-    positive.
-    """
-    r1, r2 = rho
-    t = 0.0
-    if c > 0.0:
-        t = max((n1 * math.sqrt(r2 / r1) - a) / c, 0.0)
-        if a > 0.0:
-            t = min(t, c / a)
-    s = 1.0 + t * t
-    return t, max(s * (r1 / (n1 * n1)), s * (r2 / (a + c * t) ** 2))
+    """The `FrontierBasis` of the channel pairs (h1, h2), arrays (..., N)."""
+    n1 = _norm(h1)
+    q1 = h1 / n1[..., None]
+    c1 = _dot(q1.conj(), h2)
+    r = h2 - c1[..., None] * q1
+    c2 = _norm(r)
+    a = np.hypot(c1.real, c1.imag)
+    collinear = c2 < COLLINEAR_TOL * np.maximum(1.0, _norm(h2))
+    # per part: numpy's complex c1 / a multiplies by a rounded 1/a
+    phase = np.where((a > 0.0) & ~collinear,
+                     c1.real / a + 1j * (c1.imag / a), 1.0)
+    q2 = np.where(collinear[..., None], 0.0, r / c2[..., None])
+    c = np.where(collinear, 0.0, c2)
+    return FrontierBasis(n1, q1, q2, phase, a, c, np.arctan2(c, a))
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def frontier_crossings(n1, a, c, rho, mu):
     """(tan phi, level) minimizing max(T1, T2), T_i = rho_i/x_i + mu_i,
     over the frontier gains x_i of a `FrontierBasis` (n1, A, C), for
-    arrays or Python floats that broadcast together.
+    arrays or floats that broadcast together.
 
     With t = tan phi and s = 1 + t^2, T1 = rho1 s/n1^2 + mu1 rises and
     T2 = rho2 s/(A + C t)^2 + mu2 falls on [0, C/A], so the optimum is an
@@ -275,11 +264,11 @@ def frontier_crossings(n1, a, c, rho, mu):
         g(t) = A + C t - n1 sqrt(rho2 s/(rho1 s + d)),  d = (mu1 - mu2) n1^2.
 
     For mu1 = mu2 (the beamformer step has mu = 0) g is linear, with root
-    (n1 sqrt(rho2/rho1) - A)/C, and tan phi is `frontier_crossing`'s bit
-    for bit. Otherwise let alpha_i = rho_i/n_i^2, L_i = alpha_i + mu_i,
-    and x the tangent of the angle from the matched filter of the user
-    with the larger L (x = t for user 1, else (C - A t)/(A + C t)). The
-    root is that of the convex, rising
+    (n1 sqrt(rho2/rho1) - A)/C, clipped to [0, C/A]. Otherwise let
+    alpha_i = rho_i/n_i^2, L_i = alpha_i + mu_i, and x the tangent of the
+    angle from the matched filter of the user with the larger L (x = t for
+    user 1, else (C - A t)/(A + C t)). The root is that of the convex,
+    rising
 
         R(x) = (A + C x) sqrt(delta + p x^2) - sqrt(q) (C - A x),
 
@@ -289,13 +278,10 @@ def frontier_crossings(n1, a, c, rho, mu):
     decreases x or NEWTON_MAX steps (8 at most on the fig2 and fig3 presets
     and a random stress set). Both rho_i must be positive. Collinear
     (C = 0) and orthogonal (A = 0) channels divide by zero on the way.
-
-    The level can differ from `frontier_crossing`'s in its last bit, as
-    Python's float ``** 2`` is C ``pow`` and numpy's is x * x.
     """
     (r1, r2), (m1, m2) = rho, mu
     inside = c > 0.0
-    # c / a is inf for a = 0, where the scalar rule skips the cap
+    # c / a is inf for a = 0, which leaves t uncapped
     t = np.minimum(np.maximum((n1 * np.sqrt(r2 / r1) - a) / c, 0.0),
                    np.divide(c, a))
     unequal = m1 != m2
@@ -323,10 +309,7 @@ def frontier_crossings(n1, a, c, rho, mu):
             active &= (0.0 < x - step) & (x - step < x)
             x = np.where(active, x - step, x)
         t = np.where(general, np.where(swap, (c - a * x) / (a + c * x), x), t)
-    if isinstance(inside, np.ndarray):
-        t = np.where(inside, t, 0.0)
-    elif not inside:  # a scalar frontier, as in `min_level_combiner`
-        t = np.zeros_like(t)
+    t = np.where(inside, t, 0.0)
     s = 1.0 + t * t
     x1, x2 = r1 / (n1 * n1), r2 / (a + c * t) ** 2
     if np.count_nonzero(unequal):
@@ -351,13 +334,14 @@ def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     - otherwise tan phi = (n1 r - A)/C, where both terms meet at
       P* = (n2^2 a1 + n1^2 a2 - 2 n1 A sqrt(a1 a2)) / (n1^2 C^2).
 
-    This is `frontier_crossing` with rho = (a1, a2).
+    This is `frontier_crossings` with rho = (a1, a2) and mu = 0.
     """
     a1, a2 = constraint_rhs(params, g, channel)
     basis = frontier_basis(channel.h1, channel.h2)
-    tan_phi, p_r = frontier_crossing(basis.n1, basis.a, basis.c, (a1, a2))
-    f = np.conj(basis.vector(math.atan(tan_phi)))
-    return BeamformerDesign(p_r=p_r, f=f, rank_ratio=0.0)
+    tan_phi, p_r = frontier_crossings(basis.n1, basis.a, basis.c, (a1, a2),
+                                      (0.0, 0.0))
+    f = np.conj(basis.vector(np.arctan(tan_phi)))
+    return BeamformerDesign(p_r=float(p_r), f=f, rank_ratio=0.0)
 
 
 class CombinerDesign(NamedTuple):
@@ -394,16 +378,15 @@ def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
     """Exact minimizer of max_i rho_i/|u^H h_i|^2 + mu_i over unit u, for
     two users with rho_i > 0: the frontier vector at the crossing of
     `frontier_crossings`. This is the combiner step (`solve_combiner`).
+    At N = 1, as on any collinear pair, the frontier is the one point q1,
+    and every unit phase of it is optimal.
     """
     if min(rho) <= 0:
         raise ValueError("both users of the frontier need rho_i > 0")
     h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
-    if len(h_vecs[0]) == 1:
-        u = np.ones(1, dtype=complex)
-    else:
-        basis = frontier_basis(*h_vecs)
-        tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
-        u = basis.vector(math.atan(tan_phi))
+    basis = frontier_basis(*h_vecs)
+    tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
+    u = basis.vector(np.arctan(tan_phi))
     return CombinerDesign(g=u.conj(),
                           p_r_implied=_combiner_objective(u, h_vecs, rho, mu))
 

@@ -25,13 +25,15 @@ from .errors import ConfigError, DimensionError, NestingError
 MAX_CODEBOOK = 1 << 16  # codewords; about 20 MB of `CodebookEntry`
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Lattice:
     """A full-rank diagonal lattice {diag(s) k : k integer vector}, held as
     its 1-D per-axis scales s: finite, with cond(diag(s)) = max|s| / min|s|
     at most 1e12. Its Voronoi cell is the box of half-widths |s_j| / 2, so
     the nearest point, the cosets of a nested diagonal lattice and the
     codebook all split into one question per axis (see `enumerate_codebook`).
+    It compares and hashes by identity, as its array field has no truth
+    value; compare the scales to compare two lattices.
     """
     scales: np.ndarray
 
@@ -108,9 +110,10 @@ def second_moment(lat: Lattice, samples: int, seed: int = 0) -> SecondMomentEsti
     return SecondMomentEstimate(est, err)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NestedChain:
-    """Doubly nested chain: coarse subset of mid subset of fine."""
+    """Doubly nested chain: coarse subset of mid subset of fine, compared
+    by identity as `Lattice` is."""
     fine: Lattice
     mid: Lattice
     coarse: Lattice
@@ -138,8 +141,9 @@ def _check_nested(sub: Lattice, sup: Lattice, what: str) -> np.ndarray:
     return index.astype(int)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodebookEntry:
+    """A codeword and its index, compared by identity as `Lattice` is."""
     point: np.ndarray
     index: int
 

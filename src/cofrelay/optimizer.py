@@ -26,9 +26,9 @@ import math
 import numpy as np
 
 from .design import (GAIN_FLOOR, SystemParams, TransceiverDesign,
-                     complete_design, elementwise, frontier_basis,
-                     frontier_crossings, power_constants, required_power,
-                     solve_beamformer, solve_combiner)
+                     complete_design, frontier_basis, frontier_crossings,
+                     power_constants, required_power, solve_beamformer,
+                     solve_combiner)
 from .errors import (DegenerateChannelError, InfeasibleError,
                      SolverFailureError)
 
@@ -174,19 +174,21 @@ def joint_combiner(channel, params: SystemParams) -> np.ndarray:
     angle psi of `joint_angles`, or the matched filter of collinear channels.
     """
     basis = frontier_basis(channel.h1, channel.h2)
-    if basis.q2 is None:
+    if basis.n1 == 0.0:
+        raise DegenerateChannelError("zero channel toward user 1")
+    if basis.c == 0.0:
         return np.conj(basis.q1)
     const = power_constants(params, params.sigma2, params.p_c)
     k = tuple(v / params.eta for v in const.noise_up)
     b = tuple(v + const.circuit for v in const.noise_dn)
     psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max, k, b)
-    return np.conj(basis.vector(float(psi)))
+    return np.conj(basis.vector(psi))
 
 
 def joint_angles(n1, a, c, psi_max, k, b):
     """Combiner angle psi of the jointly optimal (f, g), for one record or
-    all records of a sweep: (n1, A, C, psi_max) of non-collinear
-    `design.FrontierBasis` and the pairs k, b of the right-hand sides
+    all records of a sweep: (n1, A, C, psi_max) of `design.FrontierBasis`
+    (psi is 0 on a collinear one) and the pairs k, b of the right-hand sides
     a_i = k_i/y_i + b_i of `design.constraint_rhs`, y_i the uplink gain,
     are floats or arrays that broadcast together (a (T,) channel axis with
     a (P, 1) point axis). For a combiner at angle psi the best beamformer
@@ -196,11 +198,11 @@ def joint_angles(n1, a, c, psi_max, k, b):
     With equal rate targets k1 = k2 and b1 = b2, and the optimum has f = g
     at the max-min gain point of the frontier: the two-user multicast
     beamformer (Sidiropoulos, Davidson & Luo 2006), tan psi = (n1 - A)/C
-    clipped to [0, C/A], the crossing with rho = (1, 1), taken through
-    `math.atan` per record. For b = 0 this is proved: in sqrt-gain
-    coordinates the frontier bounds a convex set, so with x_i the downlink
-    gains, min_i x_i y_i is at most m^2 for the max-min gain m, which
-    f = g attains. The b/x_i term is not covered by that argument; the
+    clipped to [0, C/A], the crossing with rho = (1, 1), and psi its
+    `np.arctan`; one record and a sweep run the same numpy code. For b = 0
+    this is proved: in sqrt-gain coordinates the frontier bounds a convex
+    set, so with x_i the downlink gains, min_i x_i y_i is at most m^2 for
+    the max-min gain m, which f = g attains. The b/x_i term is not covered by that argument; the
     tests certify the closed form against `angle_search` on the fig2 and
     fig3 preset records and on random draws, and acceptance check c06
     against the grid oracle. With unequal targets f = g can be far from
@@ -209,7 +211,7 @@ def joint_angles(n1, a, c, psi_max, k, b):
     (k1, k2), (b1, b2) = k, b
     if (np.equal(k1, k2) & np.equal(b1, b2)).all():
         tan_psi, _ = frontier_crossings(n1, a, c, (1.0, 1.0), (0.0, 0.0))
-        return elementwise(math.atan, tan_psi)
+        return np.arctan(tan_psi)
     return angle_search(n1, a, c, psi_max, k, b)
 
 

@@ -4,11 +4,9 @@ import pytest
 from cofrelay import design, numerics, sdp
 from cofrelay.errors import (BracketError, DegenerateChannelError,
                              InfeasibleError)
-from cofrelay.harness import axis_points
-from cofrelay.optimizer import equal_gain_vector
-from cofrelay.scenario import (ChannelRealization, fig2_preset, fig3_preset,
-                               gen_channel, trial_seed, units_from_config,
-                               with_overrides)
+from cofrelay.scenario import (ChannelRealization, gen_channel, gen_channels,
+                               trial_seed)
+import frontier_reference
 
 # the analytic desk scenarios used throughout
 SCALAR = design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
@@ -296,6 +294,40 @@ def crossing_channels():
             "n1": rand_channel(42, n=1)}
 
 
+class TestFrontierBasis:
+    @pytest.mark.parametrize("n", (1, 2, 4, 16))
+    def test_one_record_is_a_row_of_the_stack(self, n):
+        # the per-record steps and the sweep call the same basis and
+        # vector code, so one channel gives its row of the stack exactly
+        h, _ = gen_channels(5, 64, n)
+        stacked = design.frontier_basis(h[:, 0], h[:, 1])
+        psi = np.linspace(0.0, 1.0, len(h)) * stacked.psi_max
+        vectors = stacked.vector(psi)
+        for k in range(len(h)):
+            row = design.frontier_basis(h[k, 0], h[k, 1])
+            for name in design.FrontierBasis._fields:
+                assert np.array_equal(getattr(row, name),
+                                      getattr(stacked, name)[k]), name
+            assert np.array_equal(row.vector(psi[k]), vectors[k])
+
+    def test_matches_reference(self):
+        # frontier_reference.frontier_basis is an independent copy:
+        # e1 = phase q1, e2 = q2 and phi_max = psi_max
+        for t in range(50):
+            ch = rand_channel(t, n=2 + t % 7)
+            b = design.frontier_basis(ch.h1, ch.h2)
+            e1, e2, _, phi_max = frontier_reference.frontier_basis(ch)
+            assert b.c > 0.0
+            assert np.allclose(b.phase * b.q1, e1, rtol=0.0, atol=1e-12)
+            assert np.allclose(b.q2, e2, rtol=0.0, atol=1e-12)
+            assert b.psi_max == pytest.approx(phi_max, rel=1e-12, abs=1e-12)
+            assert b.n1 == pytest.approx(np.linalg.norm(ch.h1), rel=1e-12)
+            assert np.allclose(b.vector(0.3 * phi_max),
+                               np.cos(0.3 * phi_max) * e1
+                               + np.sin(0.3 * phi_max) * e2,
+                               rtol=0.0, atol=1e-12)
+
+
 class TestFrontierCrossing:
     def test_closed_form_without_mu(self):
         # mu = 0: the crossing is P* of `solve_beamformer` inside the
@@ -308,7 +340,8 @@ class TestFrontierCrossing:
             n2sq = a * a + c * c
             for _ in range(10):
                 a1, a2 = 10.0 ** rng.uniform(-2, 2, 2)
-                tan_phi, level = design.frontier_crossing(n1, a, c, (a1, a2))
+                tan_phi, level = design.frontier_crossings(n1, a, c, (a1, a2),
+                                                           (0.0, 0.0))
                 r = np.sqrt(a2 / a1)
                 if n1 * r <= a:
                     seen.add("lo")
@@ -351,33 +384,6 @@ class TestFrontierCrossing:
             assert level <= upper * (1.0 + 1e-12)
         if b.c > 0.0:
             assert roots == {-1.0, 1.0}
-
-    @pytest.mark.parametrize("equal_gain", (True, False),
-                             ids=("phased", "unphased"))
-    @pytest.mark.parametrize("preset", (fig2_preset, fig3_preset),
-                             ids=("fig2", "fig3"))
-    def test_array_twin_matches_scalar(self, preset, equal_gain):
-        # the mu = 0 beamformer inputs at the equal-gain combiner, one
-        # element per (axis point, trial)
-        cfg = preset(master_seed=1234)
-        bases, beam = [], []
-        for snr_db, pc_dbm in axis_points(cfg):
-            par = units_from_config(with_overrides(
-                cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none", axis_values=()))
-            for t in range(cfg.trials):
-                ch = gen_channel(trial_seed(cfg.master_seed, t), cfg.n)
-                w = equal_gain_vector(ch, phased=equal_gain)
-                bases.append(design.frontier_basis(ch.h1, ch.h2))
-                beam.append(design.constraint_rhs(par, w, ch))
-        n1, a, c = (np.array([getattr(b, k) for b in bases])
-                    for k in ("n1", "a", "c"))
-        tan_phi, level = design.frontier_crossings(n1, a, c, np.array(beam).T,
-                                                   (0.0, 0.0))
-        for k, (b, r) in enumerate(zip(bases, beam)):
-            ref = design.frontier_crossing(b.n1, b.a, b.c, r)
-            assert tan_phi[k] == ref[0]
-            # Python's float ** 2 is C pow, numpy's is x * x
-            assert level[k] == pytest.approx(ref[1], rel=1e-15)
 
     def test_equal_mu_level_is_two_term_max(self):
         # with mu1 = mu2 the level is s * max(x1, x2) + mu1, which must be

@@ -89,6 +89,21 @@ class TestScales:
             with pytest.raises(DimensionError):
                 lattice.Lattice(scales)
 
+    def test_identity_equality_and_hash(self):
+        # the ndarray field has no truth value, so value equality would
+        # raise; every array-holding record compares by identity
+        fine, coarse = lattice.Lattice([1.0, 2.0]), lattice.Lattice([4.0, 8.0])
+        twin = lattice.Lattice([1.0, 2.0])
+        chain = lattice.NestedChain(fine=fine, mid=fine, coarse=coarse)
+        entry = lattice.enumerate_codebook(fine, coarse)[0]
+        for x, other in ((fine, twin),
+                         (chain, lattice.NestedChain(fine, fine, coarse)),
+                         (entry, lattice.CodebookEntry(entry.point,
+                                                       entry.index))):
+            assert x == x and x != other
+            assert len({x, other, x}) == 2
+        assert np.array_equal(fine.scales, twin.scales)
+
     def test_volume(self):
         assert lattice.Lattice([-4.0, 0.5, 3.0]).volume == 6.0
         assert lattice.scaled_integers(2.0, 5).volume == 32.0

@@ -304,7 +304,7 @@ def _angle_inputs(cases):
     arguments (n1, A, C, psi_max, k, b) of `optimizer.joint_angles` for all
     of them at once, one array entry per case."""
     bases = [design.frontier_basis(ch.h1, ch.h2) for ch, _ in cases]
-    assert all(basis.q2 is not None for basis in bases)
+    assert all(basis.c > 0 for basis in bases)
     k, b = [], []
     for _, par in cases:
         const = design.power_constants(par, par.sigma2, par.p_c)
@@ -385,8 +385,8 @@ class TestEqualTargetClosedForm:
         for t in range(10):
             ch = rand_channel(t)
             basis = design.frontier_basis(ch.h1, ch.h2)
-            eq = math.atan(design.frontier_crossing(
-                basis.n1, basis.a, basis.c, (1.0, 1.0))[0])
+            eq = np.arctan(design.frontier_crossings(
+                basis.n1, basis.a, basis.c, (1.0, 1.0), (0.0, 0.0))[0])
             g = np.conj(basis.vector(eq))
             p_eq = design.solve_beamformer(g, ch, par).p_r
             p_opt = optimizer.run_scheme(1, ch, par).p_r
