@@ -7,8 +7,9 @@ beamformer, receive combiner and per-user power splits (`design`,
 closed-form beamformer at each combiner angle), verify
 the rate targets, and aggregate Monte Carlo sweeps (`harness`), which run
 all schemes as one stacked array pass over (scheme, axis point, trial)
-(`batch`, the schemes of `optimizer.run_scheme` over arrays, on the same
-frontier basis and crossing code that `design` runs on one record). The
+(`batch`, the schemes of `optimizer.run_scheme` over arrays, calling the
+same frontier, power, splitting and rate steps of `design` that the
+one-record functions call, so both give the same bits). The
 paper's semidefinite relaxation of the beamformer step
 (`design.min_power_beamformer`, solved by the `sdp` interior-point method
 with `numerics`) is kept only as a certificate of the optimal power value,
@@ -17,9 +18,9 @@ primitives. See the README for the CLI.
 """
 
 from .design import (RateReport, SystemParams, TransceiverDesign,
-                     check_rates, complete_design, constraint_rhs,
-                     rank_one_extract, recover_beta, required_power,
-                     solve_beamformer, solve_combiner, verify_rates)
+                     check_rates, complete_design, rank_one_extract,
+                     required_power, solve_beamformer, solve_combiner,
+                     verify_rates)
 from .errors import (BracketError, CofRelayError, ConfigError,
                      DegenerateChannelError, DimensionError, InfeasibleError,
                      NestingError, SolverFailureError, UnboundedError)
@@ -46,10 +47,10 @@ __all__ = [
     "RecordTable", "ScenarioConfig", "SchemeId", "SdpInstance", "SdpSolution",
     "SolverFailureError", "SweepSummary", "SystemParams", "TransceiverDesign",
     "TrialRecord", "UnboundedError", "alternate", "check_rates",
-    "cof_roundtrip", "complete_design", "constraint_rhs", "eig_hermitian", "enumerate_codebook",
+    "cof_roundtrip", "complete_design", "eig_hermitian", "enumerate_codebook",
     "equal_gain_vector", "fig2_preset", "fig3_preset", "gen_channel",
     "gen_channels", "lattice_demo", "mmse_alpha", "mod_lattice", "oracle_grid", "parse_config",
-    "quantize", "rank_one_extract", "real_embed", "recover_beta",
+    "quantize", "rank_one_extract", "real_embed",
     "render_config", "required_power", "run_scheme", "run_sweep",
     "second_moment", "solve_beamformer", "solve_combiner", "solve_sdp",
     "trace_inner", "trial_seed", "units_from_config", "verify_rates",

@@ -3,20 +3,19 @@
 `solve` does the work of `optimizer.run_scheme` followed by
 `design.verify_rates` and `design.check_rates` for many records at once.
 The T channel draws are one (T, 2, N) array, the P operating points are
-(P, 1) columns of sigma2 and P_c, and every per-record quantity of the S
-schemes is one stacked (S, P, T) array. The frontier steps call the code
-of the scalar steps on stacked arrays: the basis `design.frontier_basis`
-of every channel, the crossing rule `design.frontier_crossings` (at
-mu = 0 for the beamformer) and its `np.arctan`. The other steps repeat
-the float operations of their scalar originals in the same order, and
-`TestBatchParity` bounds what rounding leaves between the two paths in
-the scheme dispatch, right-hand sides, splitting ratios and rates. Every
-check of the scalar path is an array mask with the same threshold; a
-record that fails one carries the error class the scalar path would raise
-as its status.
+(1, P, 1) columns of sigma2 and P_c, and every per-record quantity of the
+S schemes is one stacked (S, P, T) array. Every step is the code that the
+one-record functions call, run on stacked arrays: the frontier basis and
+crossing of `design`, the equal-gain weights of `optimizer`, and the
+gains, right-hand sides, combiner coefficients, least power, splitting,
+uplink powers and rates of `design`. So a record's bits do not depend on
+which path solved it (`TestOneRecordExact`). Every check of the
+one-record path is an array mask with the same threshold, in the same
+order; a record that fails one carries the error class the one-record
+path raises as its status.
 
 Scheme 1's combiner angle is one `optimizer.joint_angles` call on the
-(P, T) records, the routine that the scalar path calls on one record.
+(P, T) records, the routine that the one-record path calls on one record.
 """
 
 from functools import cached_property
@@ -26,37 +25,24 @@ from typing import NamedTuple
 import numpy as np
 
 from .design import (BETA_SLACK, GAIN_FLOOR, MARGIN_SLACK, UNIT_NORM_TOL,
-                     FrontierBasis, _dot, frontier_basis, frontier_crossings,
-                     power_constants)
+                     FrontierBasis, _downlink, _uplink, combiner_terms,
+                     crossing_vector, frontier_basis, least_power,
+                     power_constants, rates, right_hand_sides, splitting,
+                     uplink_powers)
 from .errors import DegenerateChannelError, InfeasibleError
-from .optimizer import SchemeId, joint_angles
-
-
-def _users_first(x):
-    """Move the last axis to the front."""
-    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
-
-
-def _uplink(g, h):
-    """`design.uplink_gain` |g . h_i|^2 of combiners g (..., T, N) toward
-    both users of the (T, 2, N) channels, as a (2, ..., T) array."""
-    return _users_first(np.abs(_dot(g[..., None, :], h)) ** 2)
-
-
-def _downlink(h, f):
-    """`design.downlink_gain` |h_i . f|^2, shaped as `_uplink`."""
-    return _users_first(np.abs(_dot(h, f[..., None, :])) ** 2)
+from .optimizer import SchemeId, equal_gain_vector, joint_angles
 
 
 class ChannelBatch:
     """T channel draws as one (T, 2, N) array ``h`` with their (T,) seeds,
     as `scenario.gen_channels` returns them, and the per-channel
-    quantities that every scheme shares computed once."""
+    quantities that every scheme shares computed once. Its (T, N) views
+    ``h1`` and ``h2`` let it stand for a channel in the one-record code."""
 
     def __init__(self, h, seeds):
         self.h = h
+        self.h1, self.h2 = h[:, 0], h[:, 1]
         self.seeds = seeds
-        self.n = h.shape[2]
 
     @classmethod
     def stack(cls, channels):
@@ -68,25 +54,20 @@ class ChannelBatch:
 
     @cached_property
     def basis(self) -> FrontierBasis:
-        return frontier_basis(self.h[:, 0], self.h[:, 1])
+        return frontier_basis(self.h1, self.h2)
 
     def equal_gain(self, phased: bool):
         """`optimizer.equal_gain_vector` w of every channel, with `_unit`
         of w and its uplink and downlink gains as (2, 1, 1, T) arrays."""
-        h1, h2 = self.h[:, 0], self.h[:, 1]
-        if phased:
-            w = np.exp(-1j * np.angle(h1 + h2)) / math.sqrt(self.n)
-        else:
-            w = np.broadcast_to(np.ones(self.n, dtype=complex)
-                                / math.sqrt(self.n), h1.shape)
+        w = equal_gain_vector(self, phased)
         return (w, _unit(w), _uplink(w, self.h)[:, None, None],
                 _downlink(self.h, w)[:, None, None])
 
 
 class OperatingPoints:
-    """P operating points as columns of the `design.PowerConstants`: (P, 1)
-    per point, (2, 1, P, 1) per user and point, so that they broadcast
-    against the (2, S, P, T) gains of S schemes.
+    """P operating points: ``const`` holds their `design.PowerConstants`
+    and ``sigma2`` their noise powers as (1, P, 1) columns, so that they
+    broadcast against the (2, S, P, T) gains of S schemes.
 
     The points share N, eta and the rate targets and differ in sigma2 and
     P_c, as the points of one sweep do.
@@ -100,21 +81,12 @@ class OperatingPoints:
             raise ValueError("operating points must share N, eta and the "
                              "rate targets")
         self.eta = first.eta
-        self.sigma2 = np.array([p.sigma2 for p in self.params])[:, None]
-        p_c = np.array([p.p_c for p in self.params])[:, None]
-        const = power_constants(first, self.sigma2, p_c)
-        self.two_pc, self.circuit = const.two_pc, const.circuit
-        self.noise_up = np.array(const.noise_up)[:, None]
-        self.noise_dn = np.array(const.noise_dn)[:, None]
-        self.beta_num = np.array(const.beta_num)[:, None]
-        self.targets = np.array(const.targets)[:, None, None, None]
+        self.sigma2 = np.array([p.sigma2 for p in self.params])[None, :, None]
+        p_c = np.array([p.p_c for p in self.params])[None, :, None]
+        self.const = power_constants(first, self.sigma2, p_c)
 
     def __len__(self):
         return len(self.params)
-
-    def rhs(self, up):
-        """`design.constraint_rhs` from the (2, S, P, T) uplink gains."""
-        return self.noise_up / (self.eta * up) + self.noise_dn + self.circuit
 
 
 class _Board:
@@ -148,13 +120,6 @@ class BatchResult(NamedTuple):
     status: np.ndarray    # objects: "ok" or "failed:<error class>"
 
 
-def _crossing_vector(basis: FrontierBasis, rho, mu):
-    """conj u(phi) at the angle of `design.frontier_crossings`: the vector
-    of `design.solve_combiner`, and of `solve_beamformer` at mu = 0."""
-    tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
-    return basis.vector(np.arctan(tan_phi)).conj()
-
-
 def _unit(v):
     """The unit-norm check of `design.TransceiverDesign`, per v[..., :]."""
     return (np.abs(np.sqrt((np.abs(v) ** 2).sum(axis=-1)) - 1.0)
@@ -166,29 +131,19 @@ def _tail(pts: OperatingPoints, board, unit, up, down, rhs) -> BatchResult:
     `check_rates` per record, from the (2, S, P, T) gains of (f, g) and
     constraint right-hand sides; ``unit`` is `_unit` of f and g."""
     board.floor(up, down)
-    eta, sigma2 = pts.eta, pts.sigma2
-    ratio = rhs / down
-    p_r = np.maximum(ratio[0], ratio[1])
-
-    d = eta * p_r * down
-    k = pts.noise_up / (d * up)
-    lo = pts.noise_dn / (p_r * down)
-    hi = 1.0 - k - pts.two_pc / d
-    beta = 0.5 * (1.0 + pts.beta_num / d - k)
+    const, eta = pts.const, pts.eta
+    p_r = least_power(rhs, down)
+    lo, hi, beta = splitting(const, eta, p_r, up, down)
     bad = ((lo > hi + BETA_SLACK) | (beta < -BETA_SLACK)
            | (beta > 1.0 + BETA_SLACK))
-    # `design.recover_beta`, whose first check is a positive, finite P_r
+    # `design.complete_design`, whose first check is a positive, finite P_r
     board.require((0.0 < p_r) & (p_r < math.inf) & ~(bad[0] | bad[1]),
                   InfeasibleError)
     beta = np.minimum(np.maximum(beta, 0.0), 1.0)
     board.require(unit, ValueError)
 
-    s = np.maximum(eta * (1.0 - beta) * p_r * down - pts.two_pc, 0.0) * up
-    tot = s[0] + s[1]
-    r_up = 0.5 * np.maximum(0.0, np.log2(np.where(tot > 0, s / tot, 0.0)
-                                          + s / sigma2))
-    r_down = 0.5 * np.log2(1.0 + beta * p_r * down / sigma2)
-    margins = np.concatenate([r_up, r_down]) - pts.targets
+    *_, margins = rates(const, pts.sigma2, p_r, beta,
+                        uplink_powers(const, eta, p_r, beta, down), up, down)
     # `design.check_rates`: a margin below -MARGIN_SLACK, NaN or +inf fails
     board.require(((margins >= -MARGIN_SLACK) & (margins < math.inf))
                   .all(axis=0), InfeasibleError)
@@ -223,23 +178,22 @@ def solve(schemes, batch: ChannelBatch, points: OperatingPoints,
             if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
                 basis = batch.basis
                 psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max,
-                                   points.noise_up / points.eta,
-                                   points.noise_dn + points.circuit)
+                                   *combiner_terms(points.const, points.eta,
+                                                   1.0))
                 # psi is (T,) at equal targets; `optimizer.joint_combiner`
                 # raises on a zero h1, where g = 0 fails at the gain floor
                 g = np.where((basis.n1 > 0.0)[:, None], basis.vector(
                     np.reshape(psi, (1, -1, shape[2]))).conj(), 0.0)
             elif scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
-                g = _crossing_vector(
-                    batch.basis, points.noise_up / (points.eta * down_w),
-                    (points.noise_dn + points.circuit) / down_w)
+                g, _ = crossing_vector(batch.basis, *combiner_terms(
+                    points.const, points.eta, down_w))
             else:  # w, as is the beamformer of schemes 3 and 4
                 up[:, i:i + 1], unit[i] = up_w, unit_w
                 continue
             up[:, i:i + 1], unit[i] = _uplink(g, batch.h), _unit(g)
-        rhs = points.rhs(up)
+        rhs = right_hand_sides(points.const, points.eta, up)
         if k:
-            f = _crossing_vector(batch.basis, rhs[:, :k], (0.0, 0.0))
+            f, _ = crossing_vector(batch.basis, rhs[:, :k], (0.0, 0.0))
             down[:, :k] = _downlink(batch.h, f)
             unit[:k] &= _unit(f)
         if k < len(schemes):

@@ -9,10 +9,13 @@ is its conjugate.
 Both subproblems, the beamformer step (fixed g, mu = 0) and the combiner
 step (fixed f), minimize max_i rho_i/|u^H h_i|^2 + mu_i over a unit u. The
 optimum lies on the gain frontier (`FrontierBasis`), so one crossing rule,
-`frontier_crossings`, solves both. The basis, the crossing and the numpy
-angles of both work on any leading axes: the per-record steps here call
-them on one channel, and `batch` on the stacked channels of a sweep, so
-the two paths share their frontier arithmetic.
+`frontier_crossings`, solves both.
+
+Every step of a record, from the frontier to the rate margins, is numpy
+code on any leading axes, user axis first. The one-record functions here
+call it on one channel and raise at the first failed check; `batch` calls
+it on the stacked records of a sweep and masks each check. So both paths
+give the same bits.
 
 All powers are linear; dB conversion happens at the scenario boundary.
 """
@@ -80,65 +83,145 @@ def rate_thresholds(params: SystemParams) -> RateThresholds:
 class PowerConstants(NamedTuple):
     """The constants of the relay power constraints P_r |h_i^T f|^2 >= a_i,
     a_i = noise_up_i/(eta |g h_i|^2) + noise_dn_i + circuit, and of the
-    splitting ratios, as floats or (P, 1) columns; per-user ones are pairs."""
+    splitting ratios, as floats or as the (1, P, 1) columns of
+    `batch.OperatingPoints`; per-user ones are pairs."""
     noise_up: tuple     # sigma2 theta_{i,r}
     noise_dn: tuple     # sigma2 (theta_{r,i} - 1)
     circuit: float      # 2 P_c / eta
     two_pc: float       # 2 P_c
-    beta_num: tuple     # eta sigma2 (theta_{r,i} - 1) - 2 P_c of `recover_beta`
+    beta_num: tuple     # eta sigma2 (theta_{r,i} - 1) - 2 P_c of `splitting`
     targets: tuple      # of the margins up1, up2, down1, down2
 
 
 def power_constants(params: SystemParams, sigma2, p_c) -> PowerConstants:
     """`PowerConstants` of the eta and rate targets of ``params`` at noise
-    power ``sigma2`` and circuit power ``p_c``, floats or (P, 1) columns.
+    power ``sigma2`` and circuit power ``p_c``, floats or columns.
     Each is formed in its formulas' order, so using it changes no rounding."""
     th = rate_thresholds(params)
-    dn = (th.theta_r1 - 1.0, th.theta_r2 - 1.0)
+    dn1, dn2 = th.theta_r1 - 1.0, th.theta_r2 - 1.0
+    two_pc, eta_sigma2 = 2.0 * p_c, params.eta * sigma2
     return PowerConstants(
         noise_up=(sigma2 * th.theta_1r, sigma2 * th.theta_2r),
-        noise_dn=tuple(sigma2 * t for t in dn),
-        circuit=2.0 * p_c / params.eta,
-        two_pc=2.0 * p_c,
-        beta_num=tuple(params.eta * sigma2 * t - 2.0 * p_c for t in dn),
+        noise_dn=(sigma2 * dn1, sigma2 * dn2),
+        circuit=two_pc / params.eta,
+        two_pc=two_pc,
+        beta_num=(eta_sigma2 * dn1 - two_pc, eta_sigma2 * dn2 - two_pc),
         targets=(params.r1_bar, params.r2_bar, params.r2_bar, params.r1_bar))
 
 
-def uplink_gain(g, h) -> float:
-    """|g . h|^2 for the combiner row vector g."""
-    return float(np.abs(np.dot(np.asarray(g), np.asarray(h))) ** 2)
+def _dot(x, y):
+    """Unconjugated x . y over the last axis, summed as np.dot sums one pair."""
+    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
 
 
-def downlink_gain(f, h) -> float:
-    """|h^T f|^2 for the beamformer f."""
-    return float(np.abs(np.dot(np.asarray(h), np.asarray(f))) ** 2)
+def _norm(x):
+    """np.linalg.norm over the last axis, with its summation."""
+    re, im = x.real, x.imag
+    return np.sqrt(_dot(re, re) + _dot(im, im))
 
 
-def constraint_rhs(params: SystemParams, g, channel):
-    """Per-user right-hand sides a_i of the relay power constraints."""
-    const = power_constants(params, params.sigma2, params.p_c)
-    out = []
-    for h, noise_up, noise_dn in zip((channel.h1, channel.h2), const.noise_up,
-                                     const.noise_dn):
-        gi = uplink_gain(g, h)
-        if gi <= GAIN_FLOOR:
-            raise DegenerateChannelError("zero effective uplink gain")
-        out.append(noise_up / (params.eta * gi) + noise_dn + const.circuit)
-    return tuple(out)
+def _users_first(x):
+    """Move the last axis to the front."""
+    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
 
 
+def _uplink(g, h):
+    """Uplink gains |g . h_i|^2 of combiners g (..., N) toward both users
+    of channels h (..., 2, N), as a (2, ...) array."""
+    return _users_first(np.abs(_dot(np.asarray(g)[..., None, :], h)) ** 2)
+
+
+def _downlink(h, f):
+    """Downlink gains |h_i . f|^2 of beamformers f, shaped as `_uplink`."""
+    return _users_first(np.abs(_dot(h, np.asarray(f)[..., None, :])) ** 2)
+
+
+def right_hand_sides(const: PowerConstants, eta, up):
+    """a_i of the relay power constraints P_r |h_i^T f|^2 >= a_i at the
+    uplink gains ``up`` (see `PowerConstants`)."""
+    return (np.asarray(const.noise_up) / (eta * up)
+            + np.asarray(const.noise_dn) + const.circuit)
+
+
+def least_power(a, down):
+    """max_i a_i/|h_i^T f|^2, the least relay power meeting both
+    constraints at the downlink gains ``down``; NaN if either ratio is."""
+    ratio = a / down
+    return np.maximum(ratio[0], ratio[1])
+
+
+def combiner_terms(const: PowerConstants, eta, down):
+    """(rho_i, mu_i) of the fixed-beamformer subproblem
+    min_g max_i rho_i/|g h_i|^2 + mu_i, i.e. a_i/|h_i^T f|^2 at the
+    downlink gains ``down``. At unit gains they are the (k_i, b_i) of
+    a_i = k_i/y_i + b_i, y_i the uplink gain."""
+    return (np.asarray(const.noise_up) / (eta * down),
+            (np.asarray(const.noise_dn) + const.circuit) / down)
+
+
+def splitting(const: PowerConstants, eta, p_r, up, down):
+    """(lo, hi, beta): each user's feasible power-splitting interval at
+    relay power ``p_r``, empty below the required power, and its midpoint
+
+        beta_i = (1 + (eta sigma^2 (theta_{r,i}-1) - 2 P_c)/(eta P_r |h_i^T f|^2)
+                    - sigma^2 theta_{i,r}/(eta P_r |h_i^T f|^2 |g h_i|^2))/2,
+
+    which the callers check and clip to [0, 1]."""
+    d = eta * p_r * down
+    k = np.asarray(const.noise_up) / (d * up)
+    lo = np.asarray(const.noise_dn) / (p_r * down)
+    hi = 1.0 - k - const.two_pc / d
+    return lo, hi, 0.5 * (1.0 + np.asarray(const.beta_num) / d - k)
+
+
+def uplink_powers(const: PowerConstants, eta, p_r, beta, down):
+    """P_i = eta (1 - beta_i) P_r |h_i^T f|^2 - 2 P_c, the harvested power
+    less the circuit power."""
+    return eta * (1.0 - beta) * p_r * down - const.two_pc
+
+
+def rates(const: PowerConstants, sigma2, p_r, beta, p_up, up, down):
+    """(s, gamma, r_up, r_down, margins) at the uplink powers ``p_up``:
+    s_i = max(P_i, 0) |g h_i|^2, gamma_i = s_i/(s_1 + s_2) (0 unless the
+    sum is positive), R_{i,r} = 1/2 [log2(gamma_i + s_i/sigma^2)]^+,
+    R_{r,i} = 1/2 log2(1 + beta_i P_r |h_i^T f|^2/sigma^2), and the
+    margins (up1, up2, down1, down2) of the rates over their targets."""
+    s = np.maximum(p_up, 0.0) * up
+    tot = s[0] + s[1]
+    gamma = np.where(tot > 0, s / tot, 0.0)
+    r_up = 0.5 * np.maximum(0.0, np.log2(gamma + s / sigma2))
+    r_down = 0.5 * np.log2(1.0 + beta * p_r * down / sigma2)
+    margins = np.stack([r - t for r, t in zip((*r_up, *r_down),
+                                              const.targets)])
+    return s, gamma, r_up, r_down, margins
+
+
+def _record(channel):
+    """The (2, N) channels of one record."""
+    return np.array((channel.h1, channel.h2), dtype=complex)
+
+
+def _above_floor(gains, link):
+    """``gains``, or DegenerateChannelError if either is at or below
+    GAIN_FLOOR (not NaN)."""
+    if (gains <= GAIN_FLOOR).any():
+        raise DegenerateChannelError(f"zero effective {link} gain")
+    return gains
+
+
+def _record_rhs(g, h, params: SystemParams):
+    """`right_hand_sides` of the combiner g on one record's channels h."""
+    return right_hand_sides(power_constants(params, params.sigma2, params.p_c),
+                            params.eta, _above_floor(_uplink(g, h), "uplink"))
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def required_power(f, g, channel, params: SystemParams) -> float:
     """Smallest relay power admitting a feasible power split for both users,
-    given fixed beamformer and combiner: max_i a_i / |h_i^T f|^2, NaN if
-    either ratio is."""
-    a = constraint_rhs(params, g, channel)
-    ratios = []
-    for ai, h in zip(a, (channel.h1, channel.h2)):
-        hi = downlink_gain(f, h)
-        if hi <= GAIN_FLOOR:
-            raise DegenerateChannelError("zero effective downlink gain")
-        ratios.append(ai / hi)
-    return float(np.max(ratios))
+    given fixed beamformer and combiner: `least_power`."""
+    h = _record(channel)
+    a = _record_rhs(g, h, params)
+    return float(least_power(a, _above_floor(_downlink(h, f), "downlink")))
 
 
 def rank_one_extract(m):
@@ -186,17 +269,6 @@ def min_power_beamformer(h_list, a_list) -> BeamformerDesign:
     _, f, ratio = rank_one_extract(sol.X)
     return BeamformerDesign(p_r=float(np.real(np.trace(sol.X))), f=f,
                             rank_ratio=ratio)
-
-
-def _dot(x, y):
-    """Unconjugated x . y over the last axis, summed as np.dot sums one pair."""
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0]
-
-
-def _norm(x):
-    """np.linalg.norm over the last axis, with its summation."""
-    re, im = x.real, x.imag
-    return np.sqrt(_dot(re, re) + _dot(im, im))
 
 
 class FrontierBasis(NamedTuple):
@@ -320,6 +392,15 @@ def frontier_crossings(n1, a, c, rho, mu):
     return t, s * np.maximum(x1, x2) + m1
 
 
+def crossing_vector(basis: FrontierBasis, rho, mu):
+    """(conj u(phi), level) at the crossing tan phi of `frontier_crossings`:
+    the beamformer of `solve_beamformer` (mu = 0) and the combiner of
+    `min_level_combiner`, on one record or stacked channels."""
+    tan_phi, level = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
+    return basis.vector(np.arctan(tan_phi)).conj(), level
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     """Optimal beamformer for a fixed combiner, in closed form.
 
@@ -334,34 +415,17 @@ def solve_beamformer(g, channel, params: SystemParams) -> BeamformerDesign:
     - otherwise tan phi = (n1 r - A)/C, where both terms meet at
       P* = (n2^2 a1 + n1^2 a2 - 2 n1 A sqrt(a1 a2)) / (n1^2 C^2).
 
-    This is `frontier_crossings` with rho = (a1, a2) and mu = 0.
+    This is `crossing_vector` with rho = (a1, a2) and mu = 0.
     """
-    a1, a2 = constraint_rhs(params, g, channel)
-    basis = frontier_basis(channel.h1, channel.h2)
-    tan_phi, p_r = frontier_crossings(basis.n1, basis.a, basis.c, (a1, a2),
-                                      (0.0, 0.0))
-    f = np.conj(basis.vector(np.arctan(tan_phi)))
+    h = _record(channel)
+    a = _record_rhs(g, h, params)
+    f, p_r = crossing_vector(frontier_basis(*h), a, (0.0, 0.0))
     return BeamformerDesign(p_r=float(p_r), f=f, rank_ratio=0.0)
 
 
 class CombinerDesign(NamedTuple):
     g: np.ndarray
     p_r_implied: float
-
-
-def combiner_coefficients(f, channel, params: SystemParams):
-    """(rho_i, mu_i) of the fixed-beamformer subproblem
-    min_g max_i rho_i / |g h_i|^2 + mu_i."""
-    const = power_constants(params, params.sigma2, params.p_c)
-    rho, mu = [], []
-    for h, noise_up, noise_dn in zip((channel.h1, channel.h2), const.noise_up,
-                                     const.noise_dn):
-        hi = downlink_gain(f, h)
-        if hi <= GAIN_FLOOR:
-            raise DegenerateChannelError("zero effective downlink gain")
-        rho.append(noise_up / (params.eta * hi))
-        mu.append((noise_dn + const.circuit) / hi)
-    return tuple(rho), tuple(mu)
 
 
 def _combiner_objective(u, h_vecs, rho, mu):
@@ -384,59 +448,20 @@ def min_level_combiner(h_vecs, rho, mu) -> CombinerDesign:
     if min(rho) <= 0:
         raise ValueError("both users of the frontier need rho_i > 0")
     h_vecs = [np.asarray(h, dtype=complex) for h in h_vecs]
-    basis = frontier_basis(*h_vecs)
-    tan_phi, _ = frontier_crossings(basis.n1, basis.a, basis.c, rho, mu)
-    u = basis.vector(np.arctan(tan_phi))
-    return CombinerDesign(g=u.conj(),
-                          p_r_implied=_combiner_objective(u, h_vecs, rho, mu))
+    g, _ = crossing_vector(frontier_basis(*h_vecs), rho, mu)
+    return CombinerDesign(g=g, p_r_implied=float(_combiner_objective(
+        g.conj(), h_vecs, rho, mu)))
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def solve_combiner(f, channel, params: SystemParams) -> CombinerDesign:
-    """Optimal combiner for a fixed beamformer."""
-    rho, mu = combiner_coefficients(f, channel, params)
-    return min_level_combiner([channel.h1, channel.h2], rho, mu)
-
-
-def beta_interval(p_r, f, g, channel, params: SystemParams, user: int):
-    """Feasible power-splitting interval [lo, hi] for one user (0-based)."""
-    const = power_constants(params, params.sigma2, params.p_c)
-    h = (channel.h1, channel.h2)[user]
-    hi_gain = downlink_gain(f, h)
-    gi = uplink_gain(g, h)
-    if hi_gain <= GAIN_FLOOR or gi <= GAIN_FLOOR:
-        raise DegenerateChannelError("zero effective gain")
-    lo = const.noise_dn[user] / (p_r * hi_gain)
-    hi = (1.0 - const.noise_up[user] / (params.eta * p_r * hi_gain * gi)
-          - const.two_pc / (params.eta * p_r * hi_gain))
-    return lo, hi
-
-
-def recover_beta(p_r, f, g, channel, params: SystemParams):
-    """Power-splitting ratios at a feasible operating point.
-
-    beta_i = (1 + (eta sigma^2 (theta_{r,i}-1) - 2 P_c) / (eta P_r |h_i^T f|^2)
-                - sigma^2 theta_{i,r} / (eta P_r |h_i^T f|^2 |g h_i|^2)) / 2,
-    the midpoint of the feasible splitting interval. Raises InfeasibleError
-    when P_r is not positive and finite, when the interval is empty (P_r
-    below the required power) or when beta is NaN or outside [0, 1] beyond
-    rounding."""
-    if not 0.0 < p_r < math.inf:
-        raise InfeasibleError(f"relay power {p_r} is not positive and finite")
-    const = power_constants(params, params.sigma2, params.p_c)
-    betas = []
-    for user, h in enumerate((channel.h1, channel.h2)):
-        lo, hi = beta_interval(p_r, f, g, channel, params, user)
-        if lo > hi + BETA_SLACK:
-            raise InfeasibleError(f"empty splitting interval for user {user + 1}: "
-                                  f"[{lo}, {hi}]")
-        hg = downlink_gain(f, h)
-        gi = uplink_gain(g, h)
-        beta = 0.5 * (1.0 + const.beta_num[user] / (params.eta * p_r * hg)
-                      - const.noise_up[user] / (params.eta * p_r * hg * gi))
-        if not -BETA_SLACK <= beta <= 1.0 + BETA_SLACK:
-            raise InfeasibleError(f"beta_{user + 1} = {beta} escapes [0, 1]")
-        betas.append(min(max(beta, 0.0), 1.0))
-    return tuple(betas)
+    """Optimal combiner for a fixed beamformer: `min_level_combiner` at
+    the `combiner_terms` of its downlink gains."""
+    h = _record(channel)
+    down = _above_floor(_downlink(h, f), "downlink")
+    rho, mu = combiner_terms(power_constants(params, params.sigma2,
+                                             params.p_c), params.eta, down)
+    return min_level_combiner(h, rho, mu)
 
 
 @dataclass
@@ -459,18 +484,36 @@ class TransceiverDesign:
                 raise ValueError(f"beta {b} outside [0, 1]")
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def complete_design(f, g, p_r, channel, params: SystemParams) -> TransceiverDesign:
     """Fill in splitting ratios and uplink powers for a given (f, g, P_r)
-    triple."""
-    beta = recover_beta(p_r, f, g, channel, params)
-    p_up = []
-    for b, h in zip(beta, (channel.h1, channel.h2)):
-        p_up.append(params.eta * (1.0 - b) * p_r * downlink_gain(f, h)
-                    - 2.0 * params.p_c)
-    return TransceiverDesign(f=np.asarray(f, dtype=complex),
-                             g=np.asarray(g, dtype=complex),
-                             p_r=float(p_r), beta=tuple(beta),
-                             p_uplink=tuple(p_up))
+    triple.
+
+    Each beta_i is the midpoint of its `splitting` interval. Raises
+    InfeasibleError when P_r is not positive and finite, when an interval
+    is empty (P_r below the required power) or when beta is NaN or outside
+    [0, 1] beyond rounding, checking user 1 before user 2."""
+    if not 0.0 < p_r < math.inf:
+        raise InfeasibleError(f"relay power {p_r} is not positive and finite")
+    const = power_constants(params, params.sigma2, params.p_c)
+    h = _record(channel)
+    f, g = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex)
+    up, down = _uplink(g, h), _downlink(h, f)
+    lo, hi, beta = splitting(const, params.eta, p_r, up, down)
+    for user in range(2):
+        if down[user] <= GAIN_FLOOR or up[user] <= GAIN_FLOOR:
+            raise DegenerateChannelError("zero effective gain")
+        if lo[user] > hi[user] + BETA_SLACK:
+            raise InfeasibleError(f"empty splitting interval for user {user + 1}: "
+                                  f"[{float(lo[user])}, {float(hi[user])}]")
+        if not -BETA_SLACK <= beta[user] <= 1.0 + BETA_SLACK:
+            raise InfeasibleError(f"beta_{user + 1} = {float(beta[user])} "
+                                  "escapes [0, 1]")
+    beta = np.minimum(np.maximum(beta, 0.0), 1.0)
+    p_up = uplink_powers(const, params.eta, p_r, beta, down)
+    return TransceiverDesign(f=f, g=g, p_r=float(p_r),
+                             beta=tuple(beta.tolist()),
+                             p_uplink=tuple(p_up.tolist()))
 
 
 @dataclass
@@ -483,33 +526,22 @@ class RateReport:
     gamma: tuple
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def verify_rates(design: TransceiverDesign, channel, params: SystemParams) -> RateReport:
-    """Evaluate the achievable-rate bounds of a populated design.
-
-    Uplink: R_{i,r} = 1/2 [log2(gamma_i + P_i |g h_i|^2 / sigma^2)]^+.
-    Downlink: R_{r,i} = 1/2 log2(1 + beta_i P_r |h_i^T f|^2 / sigma^2).
-    Negative margins are reported, never raised; `check_rates` fails a
-    report whose rates miss their targets.
+    """Evaluate the achievable-rate bounds of a populated design (see
+    `rates`). Negative margins are reported, never raised; `check_rates`
+    fails a report whose rates miss their targets.
     """
-    g_gain = [uplink_gain(design.g, channel.h1), uplink_gain(design.g, channel.h2)]
-    h_gain = [downlink_gain(design.f, channel.h1), downlink_gain(design.f, channel.h2)]
-    s = [max(p, 0.0) * gg for p, gg in zip(design.p_uplink, g_gain)]
-    tot = s[0] + s[1]
-    gamma = (s[0] / tot, s[1] / tot) if tot > 0 else (0.0, 0.0)
-    alpha = mmse_alpha(s[0], s[1], params.sigma2) if tot > 0 else 0.0
-
-    r_up = []
-    for p, gg, gm in zip(design.p_uplink, g_gain, gamma):
-        snr = gm + max(p, 0.0) * gg / params.sigma2
-        r_up.append(0.5 * max(0.0, math.log2(snr)) if snr > 0 else 0.0)
-    r_down = [0.5 * math.log2(1.0 + b * design.p_r * hg / params.sigma2)
-              for b, hg in zip(design.beta, h_gain)]
-
-    targets = (params.r1_bar, params.r2_bar)
-    margins = (r_up[0] - targets[0], r_up[1] - targets[1],
-               r_down[0] - targets[1], r_down[1] - targets[0])
-    return RateReport(r_up=tuple(r_up), r_down=tuple(r_down),
-                      margins=margins, alpha=alpha, gamma=gamma)
+    h = _record(channel)
+    s, gamma, r_up, r_down, margins = rates(
+        power_constants(params, params.sigma2, params.p_c), params.sigma2,
+        design.p_r, np.asarray(design.beta), design.p_uplink,
+        _uplink(design.g, h), _downlink(h, design.f))
+    s1, s2 = s.tolist()
+    alpha = mmse_alpha(s1, s2, params.sigma2) if s1 + s2 > 0 else 0.0
+    return RateReport(r_up=tuple(r_up.tolist()), r_down=tuple(r_down.tolist()),
+                      margins=tuple(margins.tolist()), alpha=alpha,
+                      gamma=tuple(gamma.tolist()))
 
 
 def check_rates(report: RateReport) -> RateReport:

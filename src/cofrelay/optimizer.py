@@ -26,9 +26,9 @@ import math
 import numpy as np
 
 from .design import (GAIN_FLOOR, SystemParams, TransceiverDesign,
-                     complete_design, frontier_basis, frontier_crossings,
-                     power_constants, required_power, solve_beamformer,
-                     solve_combiner)
+                     combiner_terms, complete_design, frontier_basis,
+                     frontier_crossings, power_constants, required_power,
+                     solve_beamformer, solve_combiner)
 from .errors import (DegenerateChannelError, InfeasibleError,
                      SolverFailureError)
 
@@ -63,18 +63,15 @@ class AlternationTrace:
         return [p for pair in self.iterations for p in pair]
 
 
-def uniform_combiner(n: int) -> np.ndarray:
-    return np.ones(n, dtype=complex) / math.sqrt(n)
-
-
 def equal_gain_vector(channel, phased: bool = True) -> np.ndarray:
-    """Per-antenna unit-gain weights, phase matched to the sum channel."""
-    n = len(channel.h1)
+    """Per-antenna unit-gain weights, phase matched to the sum channel, of
+    the channels ``channel.h1`` and ``h2``, arrays (..., N): one record, or
+    the stacked channels of a `batch.ChannelBatch`."""
+    h1, h2 = np.asarray(channel.h1), np.asarray(channel.h2)
+    scale = math.sqrt(h1.shape[-1])
     if not phased:
-        return uniform_combiner(n)
-    s = np.asarray(channel.h1) + np.asarray(channel.h2)
-    w = np.exp(-1j * np.angle(s)) / math.sqrt(n)
-    return w
+        return np.full(h1.shape, 1.0 / scale, dtype=complex)
+    return np.exp(-1j * np.angle(h1 + h2)) / scale
 
 
 def _rel_change(a: float, b: float) -> float:
@@ -139,8 +136,7 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
     for user, h in enumerate((channel.h1, channel.h2), start=1):
         if np.linalg.norm(h) == 0.0:
             raise DegenerateChannelError(f"zero channel toward user {user}")
-    n = params.N
-    g_inits = [uniform_combiner(n)]
+    g_inits = [equal_gain_vector(channel, phased=False)]
     if multi_start:
         g_inits.append(equal_gain_vector(channel, phased=True))
         g_inits.append(np.conj(channel.h1) / np.linalg.norm(channel.h1))
@@ -169,18 +165,16 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
     return best
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def joint_combiner(channel, params: SystemParams) -> np.ndarray:
     """Combiner of the jointly optimal (f, g): conj(u(psi)) at the frontier
-    angle psi of `joint_angles`, or the matched filter of collinear channels.
+    angle psi of `joint_angles`, which is 0 on collinear channels.
     """
     basis = frontier_basis(channel.h1, channel.h2)
     if basis.n1 == 0.0:
         raise DegenerateChannelError("zero channel toward user 1")
-    if basis.c == 0.0:
-        return np.conj(basis.q1)
-    const = power_constants(params, params.sigma2, params.p_c)
-    k = tuple(v / params.eta for v in const.noise_up)
-    b = tuple(v + const.circuit for v in const.noise_dn)
+    k, b = combiner_terms(power_constants(params, params.sigma2, params.p_c),
+                          params.eta, 1.0)
     psi = joint_angles(basis.n1, basis.a, basis.c, basis.psi_max, k, b)
     return np.conj(basis.vector(psi))
 
@@ -189,11 +183,12 @@ def joint_angles(n1, a, c, psi_max, k, b):
     """Combiner angle psi of the jointly optimal (f, g), for one record or
     all records of a sweep: (n1, A, C, psi_max) of `design.FrontierBasis`
     (psi is 0 on a collinear one) and the pairs k, b of the right-hand sides
-    a_i = k_i/y_i + b_i of `design.constraint_rhs`, y_i the uplink gain,
-    are floats or arrays that broadcast together (a (T,) channel axis with
-    a (P, 1) point axis). For a combiner at angle psi the best beamformer
-    is the crossing of `design.frontier_crossings`, so the joint problem
-    is the minimum of P*(psi) = P*(a1(psi), a2(psi)) over [0, psi_max].
+    a_i = k_i/y_i + b_i of `design.right_hand_sides`, y_i the uplink gain
+    (`design.combiner_terms` at unit gains), are floats or arrays that
+    broadcast together (a (T,) channel axis with a (1, P, 1) point axis).
+    For a combiner at angle psi the best beamformer is the crossing of
+    `design.frontier_crossings`, so the joint problem is the minimum of
+    P*(psi) = P*(a1(psi), a2(psi)) over [0, psi_max].
 
     With equal rate targets k1 = k2 and b1 = b2, and the optimum has f = g
     at the max-min gain point of the frontier: the two-user multicast
@@ -265,28 +260,17 @@ def run_scheme(scheme, channel, params: SystemParams,
 
     Schemes 1 and 2 differ only in the combiner: the global optimum of
     `joint_combiner` or the equal-gain vector; both then take the
-    closed-form beamformer. Returns the completed `TransceiverDesign`.
+    closed-form beamformer. Scheme 3 takes the exact combiner for the
+    equal-gain beamformer, and scheme 4 keeps both equal-gain vectors.
+    Every scheme ends in `required_power` and `complete_design`.
     """
     scheme = SchemeId(scheme)
-    if scheme in (SchemeId.JOINT_TRANSCEIVER_PS, SchemeId.BF_PS_EGC_RECEIVER):
-        if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
-            g = joint_combiner(channel, params)
-        else:
-            g = equal_gain_vector(channel, phased=equal_gain_phased)
-        bf = solve_beamformer(g, channel, params)
-        p_r = required_power(bf.f, g, channel, params)
-        return complete_design(bf.f, g, p_r, channel, params)
-
-    if scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
-        f = equal_gain_vector(channel, phased=equal_gain_phased)
-        comb = solve_combiner(f, channel, params)
-        p_r = required_power(f, comb.g, channel, params)
-        return complete_design(f, comb.g, p_r, channel, params)
-
-    if scheme is SchemeId.PS_ONLY:
-        f = equal_gain_vector(channel, phased=equal_gain_phased)
-        g = equal_gain_vector(channel, phased=equal_gain_phased)
-        p_r = required_power(f, g, channel, params)
-        return complete_design(f, g, p_r, channel, params)
-
-    raise ValueError(f"unhandled scheme {scheme}")
+    f = g = equal_gain_vector(channel, phased=equal_gain_phased)
+    if scheme is SchemeId.JOINT_TRANSCEIVER_PS:
+        g = joint_combiner(channel, params)
+    if scheme <= SchemeId.BF_PS_EGC_RECEIVER:
+        f = solve_beamformer(g, channel, params).f
+    elif scheme is SchemeId.RECEIVER_PS_EQUAL_GAIN_BF:
+        g = solve_combiner(f, channel, params).g
+    p_r = required_power(f, g, channel, params)
+    return complete_design(f, g, p_r, channel, params)

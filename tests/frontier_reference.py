@@ -2,14 +2,14 @@
 
 Nothing here calls the package's solvers: the optimal vectors are searched
 directly on the two-user gain frontier, and every constraint right-hand
-side a_i comes from ``design.constraint_rhs``.
+side a_i comes from the frozen ``record_reference.constraint_rhs``.
 """
 
 import math
 
 import numpy as np
 
-from cofrelay import design
+from record_reference import constraint_rhs
 
 
 def frontier_basis(ch):
@@ -65,7 +65,7 @@ def joint_reference(ch, params):
 
     def joint(phis):
         gs = np.conj(np.outer(np.cos(phis), e1) + np.outer(np.sin(phis), e2))
-        a = np.array([design.constraint_rhs(params, g, ch) for g in gs]).T
+        a = np.array([constraint_rhs(params, g, ch) for g in gs]).T
         return frontier_power(a, k, phi_max)
 
     phis = np.linspace(0.0, phi_max, 2049)
@@ -88,9 +88,9 @@ def gap_reference(ch, params):
     """
     _, _, k, phi_max = frontier_basis(ch)
     g_eg = np.exp(-1j * np.angle(ch.h1 + ch.h2)) / math.sqrt(len(ch.h1))
-    a_eg = design.constraint_rhs(params, g_eg, ch)
+    a_eg = constraint_rhs(params, g_eg, ch)
     p2 = float(frontier_power(np.array(a_eg)[:, None], k, phi_max)[0])
-    a_lo = [design.constraint_rhs(params, np.conj(h) / np.linalg.norm(h), ch)[i]
+    a_lo = [constraint_rhs(params, np.conj(h) / np.linalg.norm(h), ch)[i]
             for i, h in enumerate((ch.h1, ch.h2))]
     return (joint_reference(ch, params), p2,
             max(a / lo for a, lo in zip(a_eg, a_lo)))

@@ -15,6 +15,7 @@ import pytest
 
 import conftest
 from frontier_reference import gap_reference
+import record_reference as frozen
 from cofrelay import design, harness, lattice, numerics, optimizer, sdp
 from cofrelay.harness import axis_points, run_point
 from cofrelay.scenario import (fig2_preset, fig3_preset, gen_channel,
@@ -198,13 +199,13 @@ def test_c07_rank_one_property(op_params):
         ch = gen_channel(trial_seed(777, t), 4)
         g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         g /= np.linalg.norm(g)
-        a = design.constraint_rhs(op_params, g, ch)
+        a = frozen.constraint_rhs(op_params, g, ch)
         cert = design.min_power_beamformer([ch.h1, ch.h2], a)
         worst = max(worst, cert.rank_ratio)
         high_rank += 1 if cert.rank_ratio > 1e-6 else 0
         exact = design.solve_beamformer(g, ch, op_params)
         worst_gap = max(worst_gap, abs(exact.p_r - cert.p_r) / cert.p_r)
-        infeasible += sum(exact.p_r * design.downlink_gain(exact.f, h)
+        infeasible += sum(exact.p_r * frozen.downlink_gain(exact.f, h)
                           < ai * (1 - 1e-12) for ai, h in zip(a, (ch.h1, ch.h2)))
     ok = worst <= 1e-6 and worst_gap <= 1e-6 and infeasible == 0
     _report(7, "rank-one-property", ok,
@@ -225,15 +226,20 @@ def test_c08_beta_midpoint_identity(op_params):
         g /= np.linalg.norm(g)
         p_min = design.required_power(f, g, ch, op_params)
         p_r = p_min * float(rng.uniform(1.0, 3.0))
-        beta = design.recover_beta(p_r, f, g, ch, op_params)
+        beta = design.complete_design(f, g, p_r, ch, op_params).beta
+        # the interval and the binding user by `design`'s shared steps
+        h = np.array([ch.h1, ch.h2])
+        up, down = design._uplink(g, h), design._downlink(h, f)
+        const = design.power_constants(op_params, op_params.sigma2,
+                                       op_params.p_c)
+        lo, hi, _ = design.splitting(const, op_params.eta, p_r, up, down)
         for user in range(2):
-            lo, hi = design.beta_interval(p_r, f, g, ch, op_params, user)
-            worst_mid = max(worst_mid, abs(beta[user] - 0.5 * (lo + hi)))
-        a = design.constraint_rhs(op_params, g, ch)
-        gains = (design.downlink_gain(f, ch.h1), design.downlink_gain(f, ch.h2))
-        binding = int(np.argmax([a[0] / gains[0], a[1] / gains[1]]))
-        lo, hi = design.beta_interval(p_min, f, g, ch, op_params, binding)
-        worst_width = max(worst_width, hi - lo)
+            worst_mid = max(worst_mid, abs(beta[user] - 0.5 * (lo[user]
+                                                               + hi[user])))
+        a = design.right_hand_sides(const, op_params.eta, up)
+        binding = int(np.argmax(a / down))
+        lo, hi, _ = design.splitting(const, op_params.eta, p_min, up, down)
+        worst_width = max(worst_width, hi[binding] - lo[binding])
     ok = worst_mid <= 1e-9 and worst_width <= 1e-9
     _report(8, "beta-midpoint-identity", ok,
             f"max midpoint error = {worst_mid:.2e}, "

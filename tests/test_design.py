@@ -7,6 +7,7 @@ from cofrelay.errors import (BracketError, DegenerateChannelError,
 from cofrelay.scenario import (ChannelRealization, gen_channel, gen_channels,
                                trial_seed)
 import frontier_reference
+import record_reference as frozen
 
 # the analytic desk scenarios used throughout
 SCALAR = design.SystemParams(N=1, eta=1.0, p_c=0.0, sigma2=1.0,
@@ -30,6 +31,28 @@ def rand_channel(t, n=4):
 def rand_unit(rng, n):
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return v / np.linalg.norm(v)
+
+
+def record_terms(par, ch, g, f=None):
+    """(constants, uplink gains, downlink gains) of one record, as the
+    shared steps of `design` take them; no downlink gains without f."""
+    h = np.array([ch.h1, ch.h2])
+    const = design.power_constants(par, par.sigma2, par.p_c)
+    return (const, design._uplink(np.asarray(g), h),
+            None if f is None else design._downlink(h, np.asarray(f)))
+
+
+def rhs(par, g, ch):
+    """a_i of `design.right_hand_sides` at the uplink gains of g."""
+    const, up, _ = record_terms(par, ch, g)
+    return tuple(design.right_hand_sides(const, par.eta, up).tolist())
+
+
+def interval(p_r, f, g, ch, par):
+    """(lo, hi) pairs of `design.splitting`, one entry per user."""
+    const, up, down = record_terms(par, ch, g, f)
+    lo, hi, _ = design.splitting(const, par.eta, p_r, up, down)
+    return lo, hi
 
 
 class TestThresholds:
@@ -69,7 +92,7 @@ class TestThresholds:
 
 class TestConstraintRhs:
     def test_unit_gains(self):
-        a = design.constraint_rhs(SCALAR, np.array([1.0 + 0j]), SCALAR_CH)
+        a = rhs(SCALAR, np.array([1.0 + 0j]), SCALAR_CH)
         assert a == pytest.approx((3.0, 3.0))
 
     def test_half_gain(self):
@@ -77,14 +100,14 @@ class TestConstraintRhs:
                                   r1_bar=0.5, r2_bar=0.5)
         ch = ChannelRealization(h1=np.array([np.sqrt(0.5) + 0j]),
                                 h2=np.array([np.sqrt(0.5) + 0j]), seed=0)
-        a = design.constraint_rhs(par, np.array([1.0 + 0j]), ch)
+        a = rhs(par, np.array([1.0 + 0j]), ch)
         assert a == pytest.approx((5.0, 5.0))
 
     def test_mixed_parameters(self):
         # sigma2 th/(eta g) + sigma2 (th_r - 1) + 2 Pc/eta = 8 + 3 + 4 = 15
         par = design.SystemParams(N=1, eta=0.5, p_c=1.0, sigma2=1.0,
                                   r1_bar=1.0, r2_bar=1.0)
-        a = design.constraint_rhs(par, np.array([1.0 + 0j]), SCALAR_CH)
+        a = rhs(par, np.array([1.0 + 0j]), SCALAR_CH)
         assert a == pytest.approx((15.0, 15.0))
 
     def test_asymmetric_targets(self):
@@ -92,26 +115,26 @@ class TestConstraintRhs:
         # `TestThresholds.test_power_constants_asymmetric`)
         par = design.SystemParams(N=1, eta=0.5, p_c=1.0, sigma2=2.0,
                                   r1_bar=1.0, r2_bar=2.0)
-        a = design.constraint_rhs(par, np.array([1.0 + 0j]), SCALAR_CH)
+        a = rhs(par, np.array([1.0 + 0j]), SCALAR_CH)
         assert a == (50.0, 74.0)
         swapped = design.SystemParams(N=1, eta=0.5, p_c=1.0, sigma2=2.0,
                                       r1_bar=2.0, r2_bar=1.0)
         # on equal channels, swapping the targets swaps the users
-        a = design.constraint_rhs(swapped, np.array([1.0 + 0j]), SCALAR_CH)
+        a = rhs(swapped, np.array([1.0 + 0j]), SCALAR_CH)
         assert a == (74.0, 50.0)
 
     def test_degenerate(self):
         ch = ChannelRealization(h1=np.array([0.0 + 0j]),
                                 h2=np.array([1.0 + 0j]), seed=0)
         with pytest.raises(DegenerateChannelError):
-            design.constraint_rhs(SCALAR, np.array([1.0 + 0j]), ch)
+            design.solve_beamformer(np.array([1.0 + 0j]), ch, SCALAR)
 
 
 def grid_required_power_oracle(ch, par, steps=48):
     """4-parameter exhaustive scan of required_power over unit f, g (N=2).
 
     Every (f, g) pair of the grid, as one array: beamformers with a
-    downlink gain below 1e-12 and combiners that `constraint_rhs` rejects
+    downlink gain below 1e-12 and combiners that `required_power` rejects
     (an uplink gain at or below the floor) are skipped.
     """
     ts = np.linspace(0, np.pi / 2, steps)
@@ -191,11 +214,11 @@ class TestBeamformer:
         ch = rand_channel(1)
         g = rand_unit(rng, 4)
         bf = design.solve_beamformer(g, ch, FIG2)
-        a = design.constraint_rhs(FIG2, g, ch)
+        a = frozen.constraint_rhs(FIG2, g, ch)
         for _ in range(100):
             f = rand_unit(rng, 4)
-            probe = max(a[0] / design.downlink_gain(f, ch.h1),
-                        a[1] / design.downlink_gain(f, ch.h2))
+            probe = max(a[0] / frozen.downlink_gain(f, ch.h1),
+                        a[1] / frozen.downlink_gain(f, ch.h2))
             assert bf.p_r <= probe + 1e-6
 
     def test_rank_one_on_random_channels(self):
@@ -203,7 +226,7 @@ class TestBeamformer:
         rng = np.random.default_rng(7)
         for t in range(20):
             ch = rand_channel(t)
-            a = design.constraint_rhs(FIG2, rand_unit(rng, 4), ch)
+            a = frozen.constraint_rhs(FIG2, rand_unit(rng, 4), ch)
             bf = design.min_power_beamformer([ch.h1, ch.h2], a)
             assert bf.rank_ratio <= 1e-6
 
@@ -229,10 +252,10 @@ class TestBeamformer:
                                          r1_bar=2.0, r2_bar=2.0), 8
             ch = rand_channel(7, n=8)
         g = rand_unit(rng, n)
-        a = design.constraint_rhs(par, g, ch)
+        a = frozen.constraint_rhs(par, g, ch)
         bf = design.solve_beamformer(g, ch, par)
         for ai, h in zip(a, (ch.h1, ch.h2)):
-            assert bf.p_r * design.downlink_gain(bf.f, h) >= ai * (1 - 1e-12)
+            assert bf.p_r * frozen.downlink_gain(bf.f, h) >= ai * (1 - 1e-12)
         cert = design.min_power_beamformer([ch.h1, ch.h2], a)
         assert bf.p_r == pytest.approx(cert.p_r, rel=1e-6)
 
@@ -241,9 +264,9 @@ class TestBeamformer:
         ch = rand_channel(2)
         g = rand_unit(rng, 4)
         bf = design.solve_beamformer(g, ch, FIG2)
-        a = design.constraint_rhs(FIG2, g, ch)
-        assert bf.p_r * design.downlink_gain(bf.f, ch.h1) >= a[0] * (1 - 1e-7)
-        assert bf.p_r * design.downlink_gain(bf.f, ch.h2) >= a[1] * (1 - 1e-7)
+        a = frozen.constraint_rhs(FIG2, g, ch)
+        assert bf.p_r * frozen.downlink_gain(bf.f, ch.h1) >= a[0] * (1 - 1e-7)
+        assert bf.p_r * frozen.downlink_gain(bf.f, ch.h2) >= a[1] * (1 - 1e-7)
 
 
 class TestRankOneExtract:
@@ -419,8 +442,8 @@ class TestCombiner:
         res = design.solve_combiner(SPLIT, ORTH_CH, ORTH)
         assert res.p_r_implied == pytest.approx(10.0, rel=1e-9)
         assert np.linalg.norm(res.g) == pytest.approx(1.0, abs=1e-9)
-        x1 = design.uplink_gain(res.g, ORTH_CH.h1)
-        x2 = design.uplink_gain(res.g, ORTH_CH.h2)
+        x1 = frozen.uplink_gain(res.g, ORTH_CH.h1)
+        x2 = frozen.uplink_gain(res.g, ORTH_CH.h2)
         assert x1 == pytest.approx(0.5, abs=1e-9)
         assert x2 == pytest.approx(0.5, abs=1e-9)
 
@@ -434,12 +457,12 @@ class TestCombiner:
         rng = np.random.default_rng(11)
         ch = rand_channel(3)
         f = rand_unit(rng, 4)
-        rho, mu = design.combiner_coefficients(f, ch, FIG2)
+        rho, mu = frozen.combiner_coefficients(f, ch, FIG2)
         res = design.solve_combiner(f, ch, FIG2)
         for _ in range(100):
             g = rand_unit(rng, 4).conj()
-            probe = max(rho[0] / design.uplink_gain(g, ch.h1) + mu[0],
-                        rho[1] / design.uplink_gain(g, ch.h2) + mu[1])
+            probe = max(rho[0] / frozen.uplink_gain(g, ch.h1) + mu[0],
+                        rho[1] / frozen.uplink_gain(g, ch.h2) + mu[1])
             assert res.p_r_implied <= probe + 1e-6
 
     def test_methods_agree(self):
@@ -453,7 +476,7 @@ class TestCombiner:
             for t in range(6):
                 ch = rand_channel(t)
                 f = rand_unit(rng, 4)
-                rho, mu = design.combiner_coefficients(f, ch, par)
+                rho, mu = frozen.combiner_coefficients(f, ch, par)
                 a = design.min_level_combiner([ch.h1, ch.h2], rho, mu)
                 b = sdp_level_combiner([ch.h1, ch.h2], rho, mu)
                 assert b == pytest.approx(a.p_r_implied, rel=1e-7)
@@ -572,17 +595,17 @@ class TestBisect:
 class TestBeta:
     def test_binding_point(self):
         one = np.array([1.0 + 0j])
-        beta = design.recover_beta(3.0, one, one, SCALAR_CH, SCALAR)
+        beta = design.complete_design(one, one, 3.0, SCALAR_CH, SCALAR).beta
         assert beta == pytest.approx((1.0 / 3.0, 1.0 / 3.0), abs=1e-12)
-        lo, hi = design.beta_interval(3.0, one, one, SCALAR_CH, SCALAR, 0)
+        lo, hi = (x[0] for x in interval(3.0, one, one, SCALAR_CH, SCALAR))
         assert lo == pytest.approx(1.0 / 3.0) and hi == pytest.approx(1.0 / 3.0)
         assert hi - lo <= 1e-9
 
     def test_double_power(self):
         one = np.array([1.0 + 0j])
-        beta = design.recover_beta(6.0, one, one, SCALAR_CH, SCALAR)
+        beta = design.complete_design(one, one, 6.0, SCALAR_CH, SCALAR).beta
         assert beta == pytest.approx((5.0 / 12.0, 5.0 / 12.0), abs=1e-12)
-        lo, hi = design.beta_interval(6.0, one, one, SCALAR_CH, SCALAR, 0)
+        lo, hi = (x[0] for x in interval(6.0, one, one, SCALAR_CH, SCALAR))
         assert (lo, hi) == pytest.approx((1.0 / 6.0, 2.0 / 3.0))
         assert lo < beta[0] < hi
 
@@ -591,7 +614,7 @@ class TestBeta:
                                   r1_bar=0.5, r2_bar=0.5)
         one = np.array([1.0 + 0j])
         with pytest.raises(InfeasibleError):
-            design.recover_beta(3.0, one, one, SCALAR_CH, par)
+            design.complete_design(one, one, 3.0, SCALAR_CH, par)
 
     def test_midpoint_identity_random(self):
         rng = np.random.default_rng(13)
@@ -601,22 +624,23 @@ class TestBeta:
             g = rand_unit(rng, 4)
             p_min = design.required_power(f, g, ch, FIG2)
             p_r = p_min * rng.uniform(1.0, 3.0)
-            beta = design.recover_beta(p_r, f, g, ch, FIG2)
+            beta = design.complete_design(f, g, p_r, ch, FIG2).beta
+            lo, hi = interval(p_r, f, g, ch, FIG2)
             for user in range(2):
-                lo, hi = design.beta_interval(p_r, f, g, ch, FIG2, user)
-                assert beta[user] == pytest.approx(0.5 * (lo + hi), abs=1e-9)
+                assert beta[user] == pytest.approx(0.5 * (lo[user] + hi[user]),
+                                                   abs=1e-9)
 
     def test_binding_interval_degenerates(self):
         rng = np.random.default_rng(14)
         ch = rand_channel(5)
         f = rand_unit(rng, 4)
         g = rand_unit(rng, 4)
-        a = design.constraint_rhs(FIG2, g, ch)
-        gains = [design.downlink_gain(f, ch.h1), design.downlink_gain(f, ch.h2)]
-        binding = int(np.argmax([a[0] / gains[0], a[1] / gains[1]]))
+        const, up, down = record_terms(FIG2, ch, g, f)
+        binding = int(np.argmax(design.right_hand_sides(const, FIG2.eta, up)
+                                / down))
         p_r = design.required_power(f, g, ch, FIG2)
-        lo, hi = design.beta_interval(p_r, f, g, ch, FIG2, binding)
-        assert hi - lo <= 1e-9
+        lo, hi = interval(p_r, f, g, ch, FIG2)
+        assert hi[binding] - lo[binding] <= 1e-9
 
 
 class TestRates:

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cofrelay import batch, cli, harness, lattice
+from cofrelay import batch, cli, design, harness, lattice
 from cofrelay.design import (SystemParams, check_rates, rate_thresholds,
-                             recover_beta, required_power, verify_rates)
+                             required_power, verify_rates)
 from cofrelay.errors import (CofRelayError, ConfigError, DimensionError,
                              InfeasibleError, NestingError)
 from cofrelay.optimizer import run_scheme
@@ -16,6 +16,7 @@ from cofrelay.scenario import (ChannelRealization, ScenarioConfig,
                                db_from_power, fig2_preset, fig3_preset,
                                gen_channel, trial_seed, units_from_config,
                                with_overrides)
+import record_reference
 
 UNIT_CH = ChannelRealization(h1=np.array([1.0 + 0j]),
                              h2=np.array([1.0 + 0j]), seed=0)
@@ -130,11 +131,12 @@ def _point_params(cfg, snr_db, pc_dbm):
 
 
 def _scalar_reference(scheme, ch, params, phased):
-    """(status, (p_r, betas, margins) or None) of one record by
-    `run_scheme`, `verify_rates` and `check_rates`."""
+    """(status, (p_r, betas, margins) or None) of one record by the frozen
+    `run_scheme`, `verify_rates` and `check_rates` of `record_reference`."""
+    ref = record_reference
     try:
-        d = run_scheme(scheme, ch, params, equal_gain_phased=phased)
-        report = check_rates(verify_rates(d, ch, params))
+        d = ref.run_scheme(scheme, ch, params, equal_gain_phased=phased)
+        report = ref.check_rates(ref.verify_rates(d, ch, params))
     except CofRelayError as exc:
         return f"failed:{type(exc).__name__}", None
     return "ok", (d.p_r, d.beta, report.margins)
@@ -312,8 +314,9 @@ class TestBatchParity:
         w, unit, up, down = batch.ChannelBatch.stack(channels).equal_gain(True)
         g = w.copy()
         g[1] = np.nan
+        rhs = design.right_hand_sides(points.const, points.eta, up)
         res = batch._tail(points, batch._Board((1, 1, len(channels))),
-                          unit & batch._unit(g), up, down, points.rhs(up))
+                          unit & batch._unit(g), up, down, rhs)
         assert res.status.tolist() == [[["ok", "failed:ValueError", "ok",
                                          "ok"]]]
 
@@ -322,19 +325,21 @@ class TestBatchParity:
         # A sweep always runs at the required power, where both splitting
         # intervals are nonempty; scaling the right-hand sides by a power
         # of two scales P_r exactly, so the batch's interval check and
-        # ratios meet the scalar `recover_beta` at that P_r.
+        # ratios meet the frozen scalar `recover_beta` at that P_r.
         channels = [gen_channel(trial_seed(3, t), 4) for t in range(8)]
         par = _point_params(ScenarioConfig(), 20.0, 10.0)
         points = batch.OperatingPoints([par])
         w, unit, up, down = batch.ChannelBatch.stack(channels).equal_gain(True)
+        rhs = design.right_hand_sides(points.const, points.eta, up)
         with np.errstate(divide="ignore", invalid="ignore"):  # as in solve
             res = batch._tail(points, batch._Board((1, 1, len(channels))),
-                              unit, up, down, scale * points.rhs(up))
+                              unit, up, down, scale * rhs)
         res = _scheme_slice(res, 0)
         for t, ch in enumerate(channels):
             p_r = scale * required_power(w[t], w[t], ch, par)
             try:
-                betas = recover_beta(p_r, w[t], w[t], ch, par)
+                betas = record_reference.recover_beta(p_r, w[t], w[t], ch,
+                                                      par)
             except InfeasibleError:
                 assert res.status[0, t] == "failed:InfeasibleError"
                 assert math.isnan(res.p_r[0, t])
@@ -343,6 +348,57 @@ class TestBatchParity:
             assert res.p_r[0, t] == p_r
             assert np.max(np.abs(res.beta[:, 0, t] - betas)) <= BETA_TOL
         assert (res.status == "ok").all() == (scale > 1.0)
+
+
+def _one_record(scheme, ch, params, phased):
+    """(status, (p_r, betas, margins) or None) of one record by the
+    package's `run_scheme`, `verify_rates` and `check_rates`."""
+    try:
+        d = run_scheme(scheme, ch, params, equal_gain_phased=phased)
+        report = check_rates(verify_rates(d, ch, params))
+    except (CofRelayError, ValueError) as exc:
+        return f"failed:{type(exc).__name__}", None
+    return "ok", (d.p_r, d.beta, report.margins)
+
+
+class TestOneRecordExact:
+    """The one-record path and the sweep run the same array steps, so
+    `run_scheme`, `verify_rates` and `check_rates` give each batch record
+    bit for bit: its P_r, betas and margins, and as the error class its
+    status."""
+
+    @pytest.mark.parametrize("r1_bar,r2_bar", ((2.0, 2.0), (1.0, 3.0)),
+                             ids=("r2-2", "r1-3"))
+    @pytest.mark.parametrize("n", (1, 2, 4, 16))
+    def test_matches_batch(self, n, r1_bar, r2_bar):
+        cfg = ScenarioConfig(n=n, trials=20, master_seed=7, axis="snr",
+                             axis_values=(0.0, 20.0, 50.0), r1_bar=r1_bar,
+                             r2_bar=r2_bar)
+        params = [_point_params(cfg, *p) for p in harness.axis_points(cfg)]
+        channels = [gen_channel(trial_seed(cfg.master_seed, t), n)
+                    for t in range(cfg.trials)]
+        schemes = (1, 2, 3, 4)
+        one, differ = {}, []
+        for phased in (True, False):
+            res = batch.solve(schemes, batch.ChannelBatch.stack(channels),
+                              batch.OperatingPoints(params),
+                              equal_gain_phased=phased)
+            for (s, scheme), (p, par), (t, ch) in itertools.product(
+                    enumerate(schemes), enumerate(params),
+                    enumerate(channels)):
+                # scheme 1 reads no equal-gain vector: one solve serves both
+                key = (scheme, phased or scheme == 1, p, t)
+                if key not in one:
+                    one[key] = _one_record(scheme, ch, par, phased)
+                status, want = one[key]
+                got = (res.p_r[s, p, t], tuple(res.beta[:, s, p, t].tolist()),
+                       tuple(res.margins[:, s, p, t].tolist()))
+                if res.status[s, p, t] != status:
+                    differ.append((key, "status"))
+                elif want is not None:
+                    differ.extend((key, name) for name, x, y in zip(
+                        ("p_r", "beta", "margins"), got, want) if x != y)
+        assert not differ, differ
 
 
 def _stack_case(kind, equal_gain):
