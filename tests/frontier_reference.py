@@ -2,14 +2,31 @@
 
 Nothing here calls the package's solvers: the optimal vectors are searched
 directly on the two-user gain frontier, and every constraint right-hand
-side a_i comes from the frozen ``record_reference.constraint_rhs``.
+side a_i comes from the frozen ``record_reference.constraint_rhs``, or
+for a whole combiner grid from ``grid_rhs``, its formula over the rows.
 """
 
 import math
 
 import numpy as np
 
+from cofrelay.design import GAIN_FLOOR, power_constants
+from cofrelay.errors import DegenerateChannelError
 from record_reference import constraint_rhs
+
+
+def grid_rhs(params, gs, ch):
+    """``constraint_rhs`` of every combiner row of ``gs``, as two arrays:
+    the same formula, one array expression per user."""
+    const = power_constants(params, params.sigma2, params.p_c)
+    out = []
+    for h, noise_up, noise_dn in zip((ch.h1, ch.h2), const.noise_up,
+                                     const.noise_dn):
+        gi = np.abs(gs @ h) ** 2
+        if np.any(gi <= GAIN_FLOOR):
+            raise DegenerateChannelError("zero effective uplink gain")
+        out.append(noise_up / (params.eta * gi) + noise_dn + const.circuit)
+    return np.array(out)
 
 
 def frontier_basis(ch):
@@ -65,8 +82,7 @@ def joint_reference(ch, params):
 
     def joint(phis):
         gs = np.conj(np.outer(np.cos(phis), e1) + np.outer(np.sin(phis), e2))
-        a = np.array([constraint_rhs(params, g, ch) for g in gs]).T
-        return frontier_power(a, k, phi_max)
+        return frontier_power(grid_rhs(params, gs, ch), k, phi_max)
 
     phis = np.linspace(0.0, phi_max, 2049)
     p1 = math.inf

@@ -581,6 +581,48 @@ class TestColumnarOutput:
         _assert_same_output(cfg, [(v, cfg.pc_dbm) for v in axis_values],
                             _seeded(cfg))
 
+    @pytest.mark.parametrize("snr_db, trials, run", [
+        # one run per (point, scheme) bucket; -0.0 prints as "-0"
+        pytest.param((-0.0, 15.0), 30, 30, id="negative-zero"),
+        # the 200 dB runs fail, the 20 dB runs do not
+        pytest.param((200.0, 20.0), 30, 30, id="failed-and-ok"),
+        # a one-trial sweep: every bucket is a run of one row
+        pytest.param(tuple(range(0, 60, 2)), 1, 1, id="one-trial"),
+        # repeated points, equal or up to the sign of zero, share buckets
+        # that list every trial twice: no runs
+        pytest.param((30.0, 10.0, 30.0), 30, 0, id="repeated"),
+        pytest.param((0.0, 25.0, -0.0), 30, 0, id="both-zeros"),
+    ])
+    def test_run_layout(self, snr_db, trials, run):
+        # tables long enough for `records_csv` to look for runs
+        cfg = ScenarioConfig(n=3, trials=trials, master_seed=21)
+        table = _assert_same_output(cfg, [(float(v), cfg.pc_dbm)
+                                          for v in snr_db], _seeded(cfg))
+        assert len(table) >= harness.RUN_PASS_MIN_ROWS
+        assert harness._run_length(table.columns) == run
+
+    def test_permuted_table(self):
+        # a permuted table has no runs and is formatted row by row
+        table = harness.run_sweep(fig2_preset())[0]
+        assert harness._run_length(table.columns) == 100
+        table = table.take(np.random.default_rng(4).permutation(len(table)))
+        assert harness._run_length(table.columns) == 0
+        assert harness.records_csv(table) == _records_csv_reference(table)
+
+    def test_records_csv_in_bounded_memory(self):
+        # 28 000 rows: the run pass holds 8 Python cells a row, seven
+        # floats and the status, 12.4 MB at peak; 13 cells a row, as the
+        # row-by-row pass holds them, take 18.8 MB
+        records = harness.run_sweep(fig2_preset(trials=1000))[0]
+        tracemalloc.start()
+        try:
+            text = harness.records_csv(records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.count("\n") == 1 + len(records)
+        assert peak < 15.5e6
+
     def test_single_antenna(self):
         cfg = ScenarioConfig(n=1, trials=6, master_seed=8, axis="pc",
                              axis_values=(0.0, 10.0, 20.0))
