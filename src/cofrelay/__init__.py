@@ -21,9 +21,9 @@ from .design import (RateReport, SystemParams, TransceiverDesign,
                      check_rates, complete_design, rank_one_extract,
                      required_power, solve_beamformer, solve_combiner,
                      verify_rates)
-from .errors import (BracketError, CofRelayError, ConfigError,
-                     DegenerateChannelError, DimensionError, InfeasibleError,
-                     NestingError, SolverFailureError, UnboundedError)
+from .errors import (CofRelayError, ConfigError, DegenerateChannelError,
+                     DimensionError, InfeasibleError, NestingError,
+                     SolverFailureError, UnboundedError)
 from .harness import (RecordTable, SweepSummary, TrialRecord, lattice_demo,
                       oracle_grid, run_sweep)
 from .lattice import (CodebookEntry, Lattice, NestedChain, cof_roundtrip,
@@ -41,8 +41,8 @@ from .sdp import SdpInstance, SdpSolution, solve_sdp
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlternationTrace", "BracketError", "ChannelRealization", "CodebookEntry",
-    "CofRelayError", "ConfigError", "DegenerateChannelError", "DimensionError",
+    "AlternationTrace", "ChannelRealization", "CodebookEntry", "CofRelayError",
+    "ConfigError", "DegenerateChannelError", "DimensionError",
     "InfeasibleError", "Lattice", "NestedChain", "NestingError", "RateReport",
     "RecordTable", "ScenarioConfig", "SchemeId", "SdpInstance", "SdpSolution",
     "SolverFailureError", "SweepSummary", "SystemParams", "TransceiverDesign",

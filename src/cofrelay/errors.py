@@ -21,10 +21,6 @@ class UnboundedError(CofRelayError):
     """The optimization problem is unbounded below."""
 
 
-class BracketError(CofRelayError):
-    """Bisection endpoints do not bracket the feasibility transition."""
-
-
 class DegenerateChannelError(CofRelayError):
     """An effective channel gain is zero, so the design equations blow up."""
 

@@ -18,6 +18,11 @@ each (scheme, axis point) bucket with one numpy call per bucket size, and
 table gives `TrialRecord` row views, for tests and API callers; the sweep
 path builds none. Reruns with the same master seed reproduce
 byte-identical record CSVs, and aggregation is independent of row order.
+
+The N=2 grid oracle (`oracle_grid`) keeps one chain of grid vectors whose
+gains weakly dominate every grid vector's (`_gain_chain`) and finds the
+least power over its beamformer and combiner pairs where each row's two
+terms cross (`_min_max_product`): the full grid's minimum, bit for bit.
 """
 
 from dataclasses import dataclass
@@ -31,8 +36,7 @@ from . import batch, lattice
 # re-exported: no record with status ok has a margin below -MARGIN_SLACK
 from .design import MARGIN_SLACK, SystemParams, rate_thresholds  # noqa: F401
 from .errors import ConfigError, DegenerateChannelError, DimensionError
-from .scenario import (ScenarioConfig, db_from_power, gen_channels,
-                       point_params)
+from .scenario import ScenarioConfig, gen_channels, point_params
 
 RECORD_COLUMNS = ("scheme", "snr_db", "pc_dbm", "trial", "seed", "p_r_db",
                   "beta1", "beta2", "margin_up1", "margin_up2",
@@ -160,8 +164,10 @@ def _run_batch(cfg: ScenarioConfig, points,
     beta, margins = res.beta.reshape(2, -1), res.margins.reshape(4, -1)
     ok = status == "ok"
     p_r_db = np.full(len(status), np.nan)
-    # math.log10 per record: np.log10 can differ in the last bit
-    p_r_db[ok] = [db_from_power(p) for p in res.p_r.ravel()[ok].tolist()]
+    # math.log10, as in `scenario.db_from_power`: np.log10 can differ in
+    # the last bit; the multiply by 10 rounds the same in numpy
+    p_r_db[ok] = 10.0 * np.array(list(map(math.log10,
+                                          res.p_r.ravel()[ok].tolist())))
     snr_db, pc_dbm = (np.repeat(np.array(v, dtype=float), n_t)
                       for v in zip(*points))
     columns = {
@@ -317,55 +323,29 @@ def failure_fraction(records: RecordTable) -> float:
     return np.count_nonzero(records.columns["status"] != "ok") / len(records)
 
 
-def pareto_front(x, y) -> np.ndarray:
-    """Indices of the 2-D Pareto front (skyline; Borzsonyi, Kossmann &
-    Stocker, ICDE 2001) of the points (x, y) for a minimum in both.
+def _gain_chain(g1, g2) -> np.ndarray:
+    """Indices of a chain of the points (g1, g2) that weakly dominates
+    every point: each point has a chain point >= in both coordinates.
 
-    Points with a NaN coordinate are dropped. The rest are sorted by x, ties
-    by y, and a point is kept when its y is strictly below every y before it.
-    So no kept point has another point <= in both coordinates and < in one,
-    every dropped point has a kept point <= in both, and of equal points
-    only one is kept. The indices come back in ascending x.
-
-    Before the sort, one pivot prunes the points (Kung, Luccio & Preparata,
-    J. ACM 1975): p is the first point of least x + y, and every other
-    point with x >= x[p] and y >= y[p] is dropped. Such a point sorts after
-    p (only a copy of p of lower index could sort before it, and p is the
-    first of its copies), so the unpruned pass drops it too. So no kept
-    point is pruned, and as the running minimum before a point is the y of
-    the last kept point before it, the pruned pass returns the same indices
-    in the same order.
-
-    The survivors are sorted by x alone, by the default (unstable) sort,
-    and only the runs of equal x are then sorted by y and index with
-    `np.lexsort`. That is the order of a stable two-key sort, so the same
-    indices come back in the same order, but the costly multi-key sort sees
-    only the ties: on the oracle grid, the exact copies of its t = 0 row
-    and its pole.
+    The point of largest g1 + g2 drops every point it weakly dominates
+    (a pivot, after Kung, Luccio & Preparata, J. ACM 1975), the rest are
+    sorted by falling g1, ties in any order, and a point is kept when its g2
+    exceeds every g2 before it. Along the chain g1 never rises and g2
+    strictly rises. A dropped point has a kept point at or before it in the
+    sort whose g2 is the running maximum, so it is weakly dominated; the
+    chain need not be the Pareto front (of equal g1 it may keep several).
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    idx = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
-    if len(idx):
-        xs, ys = x[idx], y[idx]
-        # an inf - inf or overflowing sum only makes a weaker pivot
-        with np.errstate(invalid="ignore", over="ignore"):
-            k = np.argmin(xs + ys)
-        keep = (xs < xs[k]) | (ys < ys[k])
-        keep[k] = True
-        idx = idx[keep]
-    order = idx[np.argsort(x[idx])]
-    xs = x[order]
-    # runs of equal x, each put in (y, index) order
-    tie = np.zeros(len(order), dtype=bool)
-    tie[1:] = xs[1:] == xs[:-1]
-    tie[:-1] |= tie[1:]
-    run = order[tie]
-    order[tie] = run[np.lexsort((run, y[run], x[run]))]
-    ys = y[order]
-    keep = np.ones(len(ys), dtype=bool)
-    keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
-    return order[keep]
+    # an overflowing sum only makes a weaker pivot
+    with np.errstate(over="ignore"):
+        k = np.argmax(g1 + g2)
+    keep = (g1 > g1[k]) | (g2 > g2[k])
+    keep[k] = True
+    idx = np.flatnonzero(keep)
+    idx = idx[np.argsort(g1[idx])[::-1]]
+    g2s = g2[idx]
+    keep = np.ones(len(idx), dtype=bool)
+    keep[1:] = g2s[1:] > np.maximum.accumulate(g2s)[:-1]
+    return idx[keep]
 
 
 @functools.lru_cache(maxsize=2)
@@ -418,7 +398,9 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     the grid covers t in [0, pi/2) and phi in [0, 2 pi) at the given
     resolution, with the two coordinate poles always appended so that doubling
     the resolution refines the candidate set monotonically (`_grid`). The
-    resolution must lie in [MIN_RESOLUTION, MAX_RESOLUTION].
+    resolution must lie in [MIN_RESOLUTION, MAX_RESOLUTION]. A NaN or inf
+    channel entry, or a gain beyond the float range, raises
+    DegenerateChannelError.
 
     The power of a pair is max(inv1[f] a1[g], inv2[f] a2[g]) with
     inv_i = 1/hd_i and a_i = k_i/hd_i + b_i, where hd_i is the gain of the
@@ -426,16 +408,18 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     a_i are non-increasing in hd_i, and rounding keeps that order. So a grid
     point whose gains (hd1, hd2) are both <= those of another point is
     weakly dominated by it as a beamformer row, in (inv1, inv2), and as a
-    combiner column, in (a1, a2). Rounding a product by a positive factor is
-    monotone too, so the minimum over rows and columns drawn from the one
-    Pareto front of the gains (`pareto_front` of -hd1, -hd2) is the minimum
-    over the full grid, bit for bit, and every grid point still counts as a
-    candidate. Grid points with a gain at or below 1e-30 toward either user
-    are dropped before the product.
+    combiner column, in (a1, a2), and rounding a product by a positive
+    factor is monotone too. `_gain_chain` keeps a chain of grid points that
+    weakly dominates every grid point; its points with a gain at or below
+    1e-30 toward either user are then dropped, as are all such grid points,
+    and a point dominated by a dropped one has such a gain itself. So every
+    remaining grid point is weakly dominated by a remaining chain point, the
+    chain's points are grid points, and the minimum over rows and columns
+    drawn from the chain is the minimum over the full grid, bit for bit.
 
-    Along the front hd1 falls and hd2 rises strictly, so inv1 and a1 never
-    fall and inv2 and a2 never rise, and each row's minimum sits where its
-    two terms cross (`_min_max_product`). No front-by-front product is
+    Along the chain hd1 never rises and hd2 strictly rises, so inv1 and a1
+    never fall and inv2 and a2 never rise, and each row's minimum sits where
+    its two terms cross (`_min_max_product`). No chain-by-chain product is
     formed: memory is O(grid), the grid and its gains.
     """
     h1 = np.asarray(channel.h1)
@@ -446,7 +430,15 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
         raise ConfigError(f"resolution must be in [{MIN_RESOLUTION}, "
                           f"{MAX_RESOLUTION}]")
 
-    norms = (float(np.linalg.norm(h1)), float(np.linalg.norm(h2)))
+    vecs = _grid(resolution)
+    # a NaN or inf entry, or a gain past the float range, leaves a norm or
+    # a grid gain non-finite: the error replaces numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = (float(np.linalg.norm(h1)), float(np.linalg.norm(h2)))
+        g1, g2 = np.abs(vecs @ h1) ** 2, np.abs(vecs @ h2) ** 2
+    if not (math.isfinite(norms[0] + norms[1])
+            and np.isfinite(g1).all() and np.isfinite(g2).all()):
+        raise DegenerateChannelError("channel gain is not finite")
     th = rate_thresholds(params)
     if min(norms) == 0.0:
         # Single-user channel: matched filtering on both sides is optimal.
@@ -460,19 +452,12 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
              + params.sigma2 * (t_dn - 1.0) + 2.0 * params.p_c / params.eta)
         return a / gain
 
-    vecs = _grid(resolution)
-
-    def gains(h):
-        return np.abs(vecs @ h) ** 2
-
-    g1, g2 = gains(h1), gains(h2)
-    # degenerate grid vectors (zero gain toward a user) drop out as NaN
-    hd1 = np.where(g1 > 1e-30, g1, np.nan)
-    hd2 = np.where(g2 > 1e-30, g2, np.nan)
-    front = pareto_front(-hd1, -hd2)
-    if not len(front):
+    chain = _gain_chain(g1, g2)
+    # grid vectors with (nearly) zero gain toward a user drop out
+    chain = chain[(g1[chain] > 1e-30) & (g2[chain] > 1e-30)]
+    if not len(chain):
         raise DegenerateChannelError("no non-degenerate grid point")
-    hd1, hd2 = hd1[front], hd2[front]
+    hd1, hd2 = g1[chain], g2[chain]
     a1 = (params.sigma2 * th.theta_1r / (params.eta * hd1)
           + params.sigma2 * (th.theta_r1 - 1.0) + 2.0 * params.p_c / params.eta)
     a2 = (params.sigma2 * th.theta_2r / (params.eta * hd2)

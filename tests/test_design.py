@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cofrelay import design, numerics, sdp
-from cofrelay.errors import (BracketError, DegenerateChannelError,
+from cofrelay.errors import (CofRelayError, DegenerateChannelError,
                              InfeasibleError)
 from cofrelay.scenario import (ChannelRealization, gen_channel, gen_channels,
                                trial_seed)
@@ -527,6 +527,10 @@ def sdp_level_combiner(h_vecs, rho, mu):
                  check_endpoints=False)
     _, u, _ = design.rank_one_extract(numerics.hermitian(state["G"]))
     return min(objective(u), objective(u_best))
+
+
+class BracketError(CofRelayError):
+    """Bisection endpoints do not bracket the feasibility transition."""
 
 
 def bisect_level(feasibility_oracle, lo: float, hi: float, tol: float,

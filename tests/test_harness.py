@@ -9,7 +9,8 @@ import pytest
 from cofrelay import batch, cli, design, harness, lattice
 from cofrelay.design import (SystemParams, check_rates, rate_thresholds,
                              required_power, verify_rates)
-from cofrelay.errors import (CofRelayError, ConfigError, DimensionError,
+from cofrelay.errors import (CofRelayError, ConfigError,
+                             DegenerateChannelError, DimensionError,
                              InfeasibleError, NestingError)
 from cofrelay.optimizer import run_scheme
 from cofrelay.scenario import (ChannelRealization, ScenarioConfig,
@@ -719,94 +720,48 @@ def _parity_cases(resolution, count, first):
 COL_H1 = np.array([0.3 - 1.1j, 0.8 + 0.2j])
 
 
-def _pareto_reference(x, y) -> np.ndarray:
-    """The unpruned front: every non-NaN point sorted, then one
-    running-minimum pass. Reference for the pivot-pruned
-    `harness.pareto_front`."""
-    x = np.asarray(x)
-    y = np.asarray(y)
-    idx = np.flatnonzero(~(np.isnan(x) | np.isnan(y)))
-    order = idx[np.lexsort((y[idx], x[idx]))]
-    ys = y[order]
-    keep = np.ones(len(ys), dtype=bool)
-    keep[1:] = ys[1:] < np.minimum.accumulate(ys)[:-1]
-    return order[keep]
-
-
-def _cloud(kind, seed):
-    """A seeded random point cloud of the given kind for `pareto_front`."""
+def _chain_cloud(kind, seed):
+    """A seeded point cloud (g1, g2) of the given kind for `_gain_chain`."""
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, 400))
+    n = int(rng.integers(1, 401))
     if kind == "integer-ties":
-        return (rng.integers(-6, 6, n).astype(float),
-                rng.integers(-6, 6, n).astype(float))
+        return rng.integers(0, 8, (2, n)).astype(float)
     if kind == "pivot-copies":
-        # the point of least x + y, (-1, -1), at five random indices
-        n = max(n, 5)
-        x, y = rng.integers(0, 9, n).astype(float), rng.random(n)
-        at = rng.choice(n, 5, replace=False)
-        x[at], y[at] = -1.0, -1.0
-        return x, y
-    if kind == "distinct-x":
-        # no two x are equal except in exact copies of a point, so the
-        # runs of equal x are the copies; swapped, the integer x give long
-        # runs of distinct y
-        x, y = rng.standard_normal(n), rng.integers(-6, 6, n).astype(float)
-        src, dst = rng.integers(0, n, (2, n // 10 + 1))
-        x[dst], y[dst] = x[src], y[src]
-        return x, y
-    if kind == "x-ties":
-        return rng.integers(-6, 6, n).astype(float), rng.standard_normal(n)
-    x, y = rng.standard_normal(n), rng.standard_normal(n)
-    for v in (x, y):
-        v[rng.random(n) < 0.1] = np.nan
-        v[rng.random(n) < 0.1] = np.inf
-        v[rng.random(n) < 0.1] = -np.inf
-    if kind == "nan-inf":
-        return x, y
-    if kind == "all-nan":
-        return np.full(n, np.nan), y
-    return np.array([]), np.array([])
+        # the point of largest g1 + g2 copied to up to five random indices
+        g1, g2 = rng.random((2, n))
+        k = np.argmax(g1 + g2)
+        at = rng.integers(0, n, 5)
+        g1[at], g2[at] = g1[k], g2[k]
+        return g1, g2
+    if kind == "g1-ties":
+        return rng.integers(0, 6, n).astype(float), rng.random(n)
+    if kind == "one-point":
+        return np.full(n, 0.5), np.full(n, 2.0)
+    # the oracle grid's gains toward a seeded channel's users: its t = 0
+    # row holds exact copies of the pole (1, 0)
+    ch = gen_channel(trial_seed(4321, seed), 2)
+    vecs = harness._grid(32)
+    return np.abs(vecs @ ch.h1) ** 2, np.abs(vecs @ ch.h2) ** 2
 
 
-class TestParetoFront:
-    def test_matches_brute_force_dominance(self):
-        rng = np.random.default_rng(5)
-        # integer coordinates give many exact ties; NaN points never survive
-        x = rng.integers(0, 12, 300).astype(float)
-        y = rng.integers(0, 12, 300).astype(float)
-        x[::17] = np.nan
-        y[::23] = np.nan
-        front = harness.pareto_front(x, y)
-        ok = ~(np.isnan(x) | np.isnan(y))
-        assert np.all(ok[front])
-        # ascending, one point per x: equal points appear once
-        assert np.all(np.diff(x[front]) > 0)
-        for i in np.flatnonzero(ok):
-            weak = ok & (x <= x[i]) & (y <= y[i])
-            strict = weak & ((x < x[i]) | (y < y[i]))
-            # each point has a front point <= in both coordinates ...
-            assert np.any(weak[front])
-            # ... and no front point has a point <= in both and < in one
-            if i in front:
-                assert not strict.any()
-
-    def test_empty_and_all_nan(self):
-        assert len(harness.pareto_front(np.array([]), np.array([]))) == 0
-        nan = np.full(3, np.nan)
-        assert len(harness.pareto_front(nan, np.ones(3))) == 0
-
+class TestGainChain:
     @pytest.mark.parametrize("kind", ("integer-ties", "pivot-copies",
-                                      "distinct-x", "x-ties", "nan-inf",
-                                      "all-nan", "empty"))
-    def test_pruning_matches_unpruned_sort(self, kind):
+                                      "g1-ties", "one-point", "grid-gains"))
+    def test_chain_dominates_every_point(self, kind):
         for seed in range(40):
-            x, y = _cloud(kind, seed)
-            got = harness.pareto_front(x, y)
-            assert got.tolist() == _pareto_reference(x, y).tolist()
+            g1, g2 = _chain_cloud(kind, seed)
             # and with the coordinates swapped
-            assert (harness.pareto_front(y, x).tolist()
-                    == _pareto_reference(y, x).tolist())
+            for x, y in ((g1, g2), (g2, g1)):
+                chain = harness._gain_chain(x, y)
+                # distinct input points ...
+                assert np.all((chain >= 0) & (chain < len(x)))
+                assert len(np.unique(chain)) == len(chain)
+                # ... along which x never rises and y strictly rises ...
+                assert np.all(np.diff(x[chain]) <= 0)
+                assert np.all(np.diff(y[chain]) > 0)
+                # ... and each input point has a chain point >= in both
+                weak = (x[chain] >= x[:, None]) & (y[chain] >= y[:, None])
+                assert np.all(weak.any(axis=1))
 
 
 class TestOracleGrid:
@@ -834,6 +789,19 @@ class TestOracleGrid:
         for resolution in (32, 64):
             assert (harness.oracle_grid(ch, par, resolution=resolution)
                     == _oracle_reference(ch, par, resolution))
+
+    @pytest.mark.parametrize("h1,h2", [
+        pytest.param([np.nan, 1.0], [0.3, 0.4j], id="nan-entry"),
+        pytest.param([np.inf, 1.0], [0.3, 0.4j], id="inf-entry"),
+        pytest.param(1e160 * gen_channel(5, 2).h1, 1e160 * gen_channel(5, 2).h2,
+                     id="gain-overflow"),
+    ])
+    def test_non_finite_gain_is_degenerate(self, h1, h2):
+        # a numpy RuntimeWarning is an error in the suite
+        ch = ChannelRealization(h1=np.array(h1, dtype=complex),
+                                h2=np.array(h2, dtype=complex), seed=0)
+        with pytest.raises(DegenerateChannelError):
+            harness.oracle_grid(ch, _n2_params(20.0, 10.0))
 
     def test_refinement_to_256_in_bounded_memory(self):
         cfg = with_overrides(fig2_preset(), n=2, axis="none", axis_values=())
