@@ -764,6 +764,60 @@ class TestGainChain:
                 assert np.all(weak.any(axis=1))
 
 
+def _front_values(x, y, idx=None) -> list:
+    """The (x, y) values of the Pareto front (largest in both) of the
+    points `idx`, all by default, one per value, by falling x: every point
+    sorted, then one running-maximum pass."""
+    idx = np.arange(len(x)) if idx is None else idx
+    order = idx[np.lexsort((-y[idx], -x[idx]))]
+    ys = y[order]
+    keep = np.ones(len(order), dtype=bool)
+    keep[1:] = ys[1:] > np.maximum.accumulate(ys)[:-1]
+    return list(zip(x[order[keep]], y[order[keep]]))
+
+
+class TestParetoFront:
+    """`_gain_chain` against the Pareto front of the gains, and the oracle
+    where no chain point is left or none can be formed."""
+
+    def test_matches_brute_force_dominance(self):
+        rng = np.random.default_rng(5)
+        # integer coordinates give many exact ties
+        x = rng.integers(0, 12, 300).astype(float)
+        y = rng.integers(0, 12, 300).astype(float)
+        chain = harness._gain_chain(x, y)
+        for i in range(len(x)):
+            weak = (x >= x[i]) & (y >= y[i])
+            strict = weak & ((x > x[i]) | (y > y[i]))
+            # each point has a chain point >= in both coordinates ...
+            assert np.any(weak[chain])
+            # ... and each point no point dominates is on the chain
+            if not strict.any():
+                assert np.any((x[chain] == x[i]) & (y[chain] == y[i]))
+
+    def test_empty_and_all_nan(self):
+        # gains all under the 1e-30 floor leave no chain point
+        tiny = ChannelRealization(h1=np.array([1e-20, 0.0], dtype=complex),
+                                  h2=np.array([0.0, 1e-20], dtype=complex),
+                                  seed=0)
+        with pytest.raises(DegenerateChannelError, match="no non-degenerate"):
+            harness.oracle_grid(tiny, _n2_params(20.0, 10.0))
+        nan = np.full(2, np.nan, dtype=complex)
+        with pytest.raises(DegenerateChannelError, match="not finite"):
+            harness.oracle_grid(ChannelRealization(h1=nan, h2=nan, seed=0),
+                                _n2_params(20.0, 10.0))
+
+    @pytest.mark.parametrize("kind", ("integer-ties", "pivot-copies",
+                                      "g1-ties", "one-point", "grid-gains"))
+    def test_pruning_matches_unpruned_sort(self, kind):
+        # the pivot prune loses no front value
+        for seed in range(40):
+            g1, g2 = _chain_cloud(kind, seed)
+            for x, y in ((g1, g2), (g2, g1)):
+                chain = harness._gain_chain(x, y)
+                assert _front_values(x, y, chain) == _front_values(x, y)
+
+
 class TestOracleGrid:
     @pytest.mark.parametrize("resolution,t,snr_db,pc_dbm",
                              _parity_cases(32, 104, 0)
