@@ -356,8 +356,7 @@ def frontier_crossings(n1, a, c, rho, mu):
     # c / a is inf for a = 0, which leaves t uncapped
     t = np.minimum(np.maximum((n1 * np.sqrt(r2 / r1) - a) / c, 0.0),
                    np.divide(c, a))
-    unequal = m1 != m2
-    general = inside & unequal
+    general = inside & (m1 != m2)
     if np.count_nonzero(general):
         al1, al2 = r1 / (n1 * n1), r2 / (a * a + c * c)
         swap = al2 + m2 > al1 + m1
@@ -384,12 +383,7 @@ def frontier_crossings(n1, a, c, rho, mu):
     t = np.where(inside, t, 0.0)
     s = 1.0 + t * t
     x1, x2 = r1 / (n1 * n1), r2 / (a + c * t) ** 2
-    if np.count_nonzero(unequal):
-        return t, np.maximum(s * x1 + m1, s * x2 + m2)
-    # mu1 = mu2 everywhere: rounding s * x and x + mu1 is monotone in x
-    # for s > 0, so this is the two-term max above bit for bit, in two
-    # fewer array passes
-    return t, s * np.maximum(x1, x2) + m1
+    return t, np.maximum(s * x1 + m1, s * x2 + m2)
 
 
 def crossing_vector(basis: FrontierBasis, rho, mu):

@@ -8,11 +8,12 @@ the file: a `RecordTable` holds one array per CSV column, in the order
 (snr_db, pc_dbm, scheme, trial) given by one stable `np.lexsort`, so
 duplicate axis values keep their order. Unless points repeat, each
 (axis point, scheme) bucket is then a run of rows listing the same
-(trial, seed) sequence, and `records_csv` formats the key cells once per
-run and the trial and seed cells once per trial; its one printf pass
-converts only each row's seven float cells, the writer's main cost, and
-its status. Tables without runs, or of fewer than RUN_PASS_MIN_ROWS
-rows, are formatted row by row. `summarize` reduces the trial axis of
+(trial, seed) sequence, and `_run_batch` stores that run length on the
+table. `records_csv` formats such a table's key cells once per run and
+its trial and seed cells once per trial; its one printf pass converts
+only each row's seven float cells, the writer's main cost, and its
+status. A `RecordTable.take`, or a table of repeated points, carries no
+runs and is formatted row by row. `summarize` reduces the trial axis of
 each (scheme, axis point) bucket with one numpy call per bucket size, and
 `failure_fraction` reads the status column. Indexing or iterating a
 table gives `TrialRecord` row views, for tests and API callers; the sweep
@@ -54,9 +55,6 @@ _TAIL_FORMAT = "%.9g," * 7 + "%s\n"
 _ROW_FORMAT = _KEY_FORMAT + _TRIAL_FORMAT + _TAIL_FORMAT
 _KEY_COLUMNS = RECORD_COLUMNS[:3]
 _TAIL_COLUMNS = RECORD_COLUMNS[5:]
-# below this many rows `records_csv` formats row by row: looking for the
-# runs costs about 20 us, and the run pass saves 0.5-1 us a row
-RUN_PASS_MIN_ROWS = 100
 # one summary.csv row: (scheme, snr_db, pc_dbm, mean_p_r_db, stderr_p_r_db,
 # trials, failures)
 _SUMMARY_ROW_FORMAT = "%d,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
@@ -93,6 +91,10 @@ class RecordTable:
     to an array, all of one length. Failed records carry NaN values and a
     "failed:<error class>" status. Indexing and iteration give
     `TrialRecord` rows of Python values."""
+
+    # the length of the runs of rows that share their key cells and list
+    # one (trial, seed) sequence, or 0; only `_run_batch` sets it
+    _run = 0
 
     def __init__(self, columns):
         self.columns = columns
@@ -184,7 +186,14 @@ def _run_batch(cfg: ScenarioConfig, points,
     }
     order = np.lexsort((columns["trial"], columns["scheme"],
                         columns["pc_dbm"], columns["snr_db"]))
-    return RecordTable(columns).take(order)
+    table = RecordTable(columns).take(order)
+    # each (point, scheme) bucket is a run of n_t rows in trial order,
+    # unless the lexsort ranks two points equal (0.0 and -0.0 alike, or
+    # both NaN) and interleaves their trials
+    ranked = {tuple(v if v == v else "nan" for v in map(float, p))
+              for p in points}
+    table._run = n_t if len(ranked) == len(points) else 0
+    return table
 
 
 def summarize(records: RecordTable) -> list:
@@ -224,51 +233,24 @@ def summarize(records: RecordTable) -> list:
     return [SweepSummary(*row) for row in zip(*fields)]
 
 
-def _run_length(cols) -> int:
-    """The length of the runs that `records_csv` formats together, or 0.
-
-    The rows must split into runs of one length, each holding one
-    (scheme, snr_db, pc_dbm) key bit for bit (0.0 and -0.0 print apart)
-    and each listing the first run's (trial, seed) sequence. Every table
-    of `_run_batch` does, one run per (point, scheme) bucket, unless its
-    points repeat up to the sign of zero: such points share buckets, which
-    list every trial more than once.
-    """
-    keys = [cols["scheme"]] + [np.asarray(cols[c], dtype=float).view(np.int64)
-                               for c in _KEY_COLUMNS[1:]]
-    n = len(keys[0])
-    run = min(int(np.argmax(k != k[0])) or n for k in keys)
-    if n % run:
-        return 0
-    for k in keys:
-        k = k.reshape(-1, run)
-        if not np.all(k == k[:, :1]):
-            return 0
-    for c in ("trial", "seed"):
-        k = cols[c].reshape(-1, run)
-        if not np.all(k == k[0]):
-            return 0
-    return run
-
-
 def records_csv(records: RecordTable) -> str:
     """The records.csv text, formatted from the columns in one printf pass.
 
-    A table in runs (`_run_length`) of at least RUN_PASS_MIN_ROWS rows,
-    such as every `_run_batch` table whose points do not repeat, has its
-    key cells formatted once per run and its trial and seed cells once per
-    position in a run. The row template is built from those strings, and
-    the printf pass converts only each row's seven float cells and its
-    status, read row-major from one (rows, 8) array. Any other table (a
-    permuted `RecordTable.take`, repeated points, fewer rows) is formatted
-    row by row, all 13 cells of every row. On 1000 rows that pass spends
-    61% of its time on the float cells, 25% on the other six and 13% on
-    gathering them; the run pass takes 22% less, 78% of it on the floats.
+    A table that carries runs, which every `_run_batch` table whose points
+    do not repeat does, has its key cells formatted once per run and its
+    trial and seed cells once per position in a run. The row template is
+    built from those strings, and the printf pass converts only each row's
+    seven float cells and its status, read row-major from one (rows, 8)
+    array. Any other table (a `RecordTable.take`, repeated points) is
+    formatted row by row, all 13 cells of every row. On 1000 rows that pass
+    spends 61% of its time on the float cells, 25% on the other six and
+    13% on gathering them; the run pass takes 22% less, 78% of it on the
+    floats.
     """
     cols = records.columns
     n = len(records)
     header = ",".join(RECORD_COLUMNS) + "\n"
-    run = _run_length(cols) if n >= RUN_PASS_MIN_ROWS else 0
+    run = records._run
     if not run:
         cells = zip(*(cols[c].tolist() for c in RECORD_COLUMNS))
         return header + _ROW_FORMAT * n % tuple(chain.from_iterable(cells))
@@ -424,7 +406,7 @@ def oracle_grid(channel, params: SystemParams, resolution: int = 64) -> float:
     """
     h1 = np.asarray(channel.h1)
     h2 = np.asarray(channel.h2)
-    if len(h1) != 2:
+    if len(h1) != 2 or len(h2) != 2:
         raise DimensionError("oracle grid supports N = 2 only")
     if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
         raise ConfigError(f"resolution must be in [{MIN_RESOLUTION}, "

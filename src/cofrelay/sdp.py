@@ -22,6 +22,12 @@ from .errors import (DimensionError, InfeasibleError, SolverFailureError,
 
 MAX_DIM = 16
 MAX_CONSTRAINTS = 8
+# an optimal solution meets these KKT tolerances on the original complex
+# data within MAX_ITER interior-point iterations
+TOL_FEAS = 1e-8
+TOL_GAP = 1e-7
+TOL_PSD = 1e-9
+MAX_ITER = 200
 
 GE, EQ, LE = ">=", "=", "<="
 
@@ -254,9 +260,9 @@ def _ipm(c, a_list, ineq, b, tol_feas, tol_gap, max_iter):
     return status, x, y, it
 
 
-def solve_sdp(inst: SdpInstance, tol_feas: float = 1e-8, tol_gap: float = 1e-7,
-              tol_psd: float = 1e-9, max_iter: int = 200) -> SdpSolution:
-    """Solve a small Hermitian SDP to the requested KKT tolerances.
+def solve_sdp(inst: SdpInstance) -> SdpSolution:
+    """Solve a small Hermitian SDP to the KKT tolerances TOL_FEAS, TOL_GAP
+    and TOL_PSD.
 
     Outcomes (optimal / infeasible / unbounded / numerical-failure) are
     reported in the returned status; residuals are evaluated on the original
@@ -289,9 +295,8 @@ def solve_sdp(inst: SdpInstance, tol_feas: float = 1e-8, tol_gap: float = 1e-7,
 
     # Run the interior point loop tighter than the declared tolerances so the
     # unscaled complex-side residuals still clear them.
-    status, x_re, y_sc, iters = _ipm(c_re, a_re, ineq, b_sc,
-                                     max(tol_feas * 0.05, 5e-12),
-                                     max(tol_gap * 0.05, 5e-12), max_iter)
+    status, x_re, y_sc, iters = _ipm(c_re, a_re, ineq, b_sc, TOL_FEAS * 0.05,
+                                     TOL_GAP * 0.05, MAX_ITER)
 
     x_cx = numerics.complex_from_embedding(x_re)
     y = y_sc * (c_scale / a_scales) if len(b) else y_sc
@@ -315,8 +320,8 @@ def solve_sdp(inst: SdpInstance, tol_feas: float = 1e-8, tol_gap: float = 1e-7,
     if status in ("optimal", "numerical-failure"):
         # The loop aims below the declared tolerances; accept any iterate
         # that meets them on the original data, stall or not.
-        if (pres <= tol_feas and dres <= tol_feas and gap <= tol_gap
-                and float(np.linalg.eigvalsh(x_cx)[0]) >= -tol_psd):
+        if (pres <= TOL_FEAS and dres <= TOL_FEAS and gap <= TOL_GAP
+                and float(np.linalg.eigvalsh(x_cx)[0]) >= -TOL_PSD):
             status = "optimal"
         else:
             status = "numerical-failure"

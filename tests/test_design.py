@@ -409,9 +409,8 @@ class TestFrontierCrossing:
             assert roots == {-1.0, 1.0}
 
     def test_equal_mu_level_is_two_term_max(self):
-        # with mu1 = mu2 the level is s * max(x1, x2) + mu1, which must be
-        # max(s x1 + mu1, s x2 + mu2) bit for bit, collinear and
-        # orthogonal frontiers included
+        # with mu1 = mu2 the level is max(s x1 + mu1, s x2 + mu2) bit for
+        # bit, collinear and orthogonal frontiers included
         rng = np.random.default_rng(31)
         k = 4000
         n1, a, c = 10.0 ** rng.uniform(-2.0, 2.0, (3, k))

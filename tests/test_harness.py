@@ -587,7 +587,10 @@ class TestColumnarOutput:
         pytest.param((-0.0, 15.0), 30, 30, id="negative-zero"),
         # the 200 dB runs fail, the 20 dB runs do not
         pytest.param((200.0, 20.0), 30, 30, id="failed-and-ok"),
-        # a one-trial sweep: every bucket is a run of one row
+        # one-trial sweeps: every bucket is a run of one row; 8 rows, the
+        # 28 rows of a one-trial fig2 sweep, and 120 rows
+        pytest.param((0, 20), 1, 1, id="one-trial-8-rows"),
+        pytest.param(tuple(range(0, 35, 5)), 1, 1, id="one-trial-28-rows"),
         pytest.param(tuple(range(0, 60, 2)), 1, 1, id="one-trial"),
         # repeated points, equal or up to the sign of zero, share buckets
         # that list every trial twice: no runs
@@ -595,19 +598,28 @@ class TestColumnarOutput:
         pytest.param((0.0, 25.0, -0.0), 30, 0, id="both-zeros"),
     ])
     def test_run_layout(self, snr_db, trials, run):
-        # tables long enough for `records_csv` to look for runs
+        # the run length `_run_batch` stores, which `records_csv` reads
         cfg = ScenarioConfig(n=3, trials=trials, master_seed=21)
         table = _assert_same_output(cfg, [(float(v), cfg.pc_dbm)
                                           for v in snr_db], _seeded(cfg))
-        assert len(table) >= harness.RUN_PASS_MIN_ROWS
-        assert harness._run_length(table.columns) == run
+        assert table._run == run
+
+    def test_nan_points(self):
+        # the lexsort ranks two NaN points equal too and interleaves their
+        # trials: no runs (the per-record references reject NaN points)
+        cfg = ScenarioConfig(n=3, trials=5, master_seed=21)
+        table = harness._run_batch(
+            cfg, [(float("nan"), 10.0), (20.0, 10.0), (float("nan"), 10.0)],
+            batch.ChannelBatch.stack(_seeded(cfg)))
+        assert table._run == 0
+        assert harness.records_csv(table) == _records_csv_reference(table)
 
     def test_permuted_table(self):
-        # a permuted table has no runs and is formatted row by row
+        # a permuted table carries no runs and is formatted row by row
         table = harness.run_sweep(fig2_preset())[0]
-        assert harness._run_length(table.columns) == 100
+        assert table._run == 100
         table = table.take(np.random.default_rng(4).permutation(len(table)))
-        assert harness._run_length(table.columns) == 0
+        assert table._run == 0
         assert harness.records_csv(table) == _records_csv_reference(table)
 
     def test_records_csv_in_bounded_memory(self):
@@ -956,6 +968,11 @@ class TestOracleGrid:
                            r1_bar=0.5, r2_bar=0.5)
         with pytest.raises(DimensionError):
             harness.oracle_grid(gen_channel(1, 3), par)
+        h1 = gen_channel(1, 2).h1
+        for n in (1, 3):
+            with pytest.raises(DimensionError):
+                harness.oracle_grid(ChannelRealization(
+                    h1=h1, h2=gen_channel(2, n).h2, seed=0), par)
         with pytest.raises(ConfigError):
             harness.oracle_grid(gen_channel(1, 2), par, resolution=16)
         with pytest.raises(ConfigError):

@@ -5,11 +5,11 @@ from cofrelay import numerics, sdp
 from cofrelay.errors import DimensionError
 
 
-def solve(objective, constraints, n=None, sense="min", **kw):
+def solve(objective, constraints, n=None, sense="min"):
     n = n or len(objective)
     inst = sdp.SdpInstance(n, np.asarray(objective, dtype=complex), sense,
                            constraints)
-    return sdp.solve_sdp(inst, **kw)
+    return sdp.solve_sdp(inst)
 
 
 def rank_one_grid_oracle(h, bound, steps=120):
