@@ -1,24 +1,20 @@
 """Monte Carlo sweeps, the exhaustive N=2 oracle, and the lattice demo.
 
 A sweep draws one channel per trial from per-trial seed streams, as one
-(T, 2, N) array (`scenario.gen_channels`), and solves every scheme in one
-stacked array pass over all (scheme, axis point, trial) records
-(`batch.solve`). The records stay in columns from there to
-the file: a `RecordTable` holds one array per CSV column, in the order
-(snr_db, pc_dbm, scheme, trial) given by one stable `np.lexsort`, so
-duplicate axis values keep their order. Unless points repeat, each
-(axis point, scheme) bucket is then a run of rows listing the same
-(trial, seed) sequence, and `_run_batch` stores that run length on the
-table. `records_csv` formats such a table's key cells once per run and
-its trial and seed cells once per trial; its one printf pass converts
-only each row's seven float cells, the writer's main cost, and its
-status. A `RecordTable.take`, or a table of repeated points, carries no
-runs and is formatted row by row. `summarize` reduces the trial axis of
-each (scheme, axis point) bucket with one numpy call per bucket size, and
-`failure_fraction` reads the status column. Indexing or iterating a
-table gives `TrialRecord` row views, for tests and API callers; the sweep
-path builds none. Reruns with the same master seed reproduce
-byte-identical record CSVs, and aggregation is independent of row order.
+(T, 2, N) array (`scenario.gen_channels`), and solves every scheme at every
+axis point in one stacked array pass (`batch.solve`). `_run_batch` sorts
+the P axis points once, as floats, before it solves on them, so the records
+are a grid from there to the file: a `RecordTable` holds the sorted points,
+the S sorted schemes, the T trial seeds and one (P, S, T) array per value
+column, and its row-major order is the row order of records.csv,
+(snr_db, pc_dbm, scheme, trial). `records_csv` formats each (point, scheme)
+run's key cells once and the trial and seed cells once per trial; its one
+printf pass converts only each row's seven float cells, the writer's main
+cost, and its status. `summarize` reduces the trial axis of the grid, one
+numpy call per count of ok trials, and `failure_fraction` reads the status
+grid. Indexing or iterating a table gives `TrialRecord` row views, for tests
+and API callers; the sweep path builds none. Reruns with the same master
+seed reproduce byte-identical record CSVs.
 
 The N=2 grid oracle (`oracle_grid`) keeps one chain of grid vectors whose
 gains weakly dominate every grid vector's (`_gain_chain`) and finds the
@@ -28,7 +24,7 @@ terms cross (`_min_max_product`): the full grid's minimum, bit for bit.
 
 from dataclasses import dataclass
 import functools
-from itertools import chain
+from itertools import chain, product
 import math
 
 import numpy as np
@@ -37,24 +33,24 @@ from . import batch, lattice
 # re-exported: no record with status ok has a margin below -MARGIN_SLACK
 from .design import MARGIN_SLACK, SystemParams, rate_thresholds  # noqa: F401
 from .errors import ConfigError, DegenerateChannelError, DimensionError
-from .scenario import ScenarioConfig, gen_channels, point_params
+from .scenario import (ScenarioConfig, gen_channels, point_params,
+                       with_overrides)
 
 RECORD_COLUMNS = ("scheme", "snr_db", "pc_dbm", "trial", "seed", "p_r_db",
                   "beta1", "beta2", "margin_up1", "margin_up2",
                   "margin_down1", "margin_down2", "status")
 SUMMARY_COLUMNS = ("scheme", "snr_db", "pc_dbm", "mean_p_r_db", "stderr_p_r_db",
                    "trials", "failures")
-# one records.csv row as a printf template: integers in full, floats to 9
+# the columns a `RecordTable` holds as (P, S, T) grids
+_VALUE_COLUMNS = RECORD_COLUMNS[5:]
+# one records.csv row as printf templates: integers in full, floats to 9
 # significant digits ("%.9g" is the conversion of format(x, ".9g"), so NaN
 # prints as "nan" and -0.0 as "-0"); in RECORD_COLUMNS order, the key cells
 # (scheme, snr_db, pc_dbm), the trial and seed cells, then the seven float
 # cells and the status
 _KEY_FORMAT = "%d,%.9g,%.9g,"
 _TRIAL_FORMAT = "%d,%d,"
-_TAIL_FORMAT = "%.9g," * 7 + "%s\n"
-_ROW_FORMAT = _KEY_FORMAT + _TRIAL_FORMAT + _TAIL_FORMAT
-_KEY_COLUMNS = RECORD_COLUMNS[:3]
-_TAIL_COLUMNS = RECORD_COLUMNS[5:]
+_VALUE_FORMAT = "%.9g," * 7 + "%s\n"
 # one summary.csv row: (scheme, snr_db, pc_dbm, mean_p_r_db, stderr_p_r_db,
 # trials, failures)
 _SUMMARY_ROW_FORMAT = "%d,%.9g,%.9g,%.9g,%.9g,%d,%d\n"
@@ -87,33 +83,39 @@ class TrialRecord:
 
 
 class RecordTable:
-    """Trial records as columns: ``columns`` maps each RECORD_COLUMNS name
-    to an array, all of one length. Failed records carry NaN values and a
-    "failed:<error class>" status. Indexing and iteration give
-    `TrialRecord` rows of Python values."""
+    """Trial records as a (point, scheme, trial) grid of ``shape`` (P, S, T):
+    the sorted (snr_db, pc_dbm) ``points`` as floats, the sorted
+    ``schemes``, the (T,) trial ``seeds``, and ``values``, which maps each
+    of RECORD_COLUMNS from p_r_db to status to a contiguous (P, S, T)
+    array. Failed records carry NaN values and a "failed:<error class>"
+    status. Rows run in row-major grid order, the order of records.csv;
+    indexing and iteration give `TrialRecord` rows of Python values."""
 
-    # the length of the runs of rows that share their key cells and list
-    # one (trial, seed) sequence, or 0; only `_run_batch` sets it
-    _run = 0
-
-    def __init__(self, columns):
-        self.columns = columns
+    def __init__(self, points, schemes, seeds, values):
+        self.points = points
+        self.schemes = schemes
+        self.seeds = seeds
+        self.values = values
+        self.shape = (len(points), len(schemes), len(seeds))
 
     def __len__(self):
-        return len(self.columns["status"])
+        return math.prod(self.shape)
 
     def __getitem__(self, i):
-        i = range(len(self))[i]
-        return TrialRecord(*(self.columns[c][i:i + 1].tolist()[0]
-                             for c in RECORD_COLUMNS))
+        p, s, t = np.unravel_index(range(len(self))[i], self.shape)
+        return TrialRecord(self.schemes[s], *self.points[p], int(t),
+                           int(self.seeds[t]),
+                           *(self.values[c][p, s, t:t + 1].tolist()[0]
+                             for c in _VALUE_COLUMNS))
 
     def __iter__(self):
-        rows = zip(*(self.columns[c].tolist() for c in RECORD_COLUMNS))
-        return (TrialRecord(*row) for row in rows)
-
-    def take(self, index):
-        """The rows at ``index`` (an index array or a boolean mask)."""
-        return RecordTable({c: v[index] for c, v in self.columns.items()})
+        keys = product(self.points, self.schemes,
+                       enumerate(self.seeds.tolist()))
+        values = zip(*(self.values[c].ravel().tolist()
+                       for c in _VALUE_COLUMNS))
+        return (TrialRecord(scheme, snr_db, pc_dbm, trial, seed, *row)
+                for ((snr_db, pc_dbm), scheme, (trial, seed)), row
+                in zip(keys, values))
 
 
 @dataclass
@@ -141,129 +143,87 @@ def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
     """The records of one operating point (every configured scheme), by
     scheme and trial: the batched pass of `run_sweep` at a single point,
     on the configured trials' channels or on the given list of
-    `scenario.ChannelRealization`s."""
+    `scenario.ChannelRealization`s. The point passes `ScenarioConfig`'s
+    checks, or ConfigError is raised."""
+    cfg = with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none",
+                         axis_values=())
     if channels is None:
         chans = batch.ChannelBatch(*gen_channels(cfg.master_seed, cfg.trials,
                                                  cfg.n))
     else:
         chans = batch.ChannelBatch.stack(channels)
-    return _run_batch(cfg, [(snr_db, pc_dbm)], chans)
+    return _run_batch(cfg, axis_points(cfg), chans)
 
 
 def _run_batch(cfg: ScenarioConfig, points,
                chans: batch.ChannelBatch) -> RecordTable:
     """The records of every configured scheme at every (snr_db, pc_dbm)
-    point on the channels ``chans``, from one `batch.solve` pass over all
-    (scheme, point, trial) records, sorted by point, scheme and trial."""
-    params = batch.OperatingPoints(point_params(cfg, snr_db, pc_dbm)
-                                   for snr_db, pc_dbm in points)
+    point on the channels ``chans``, from one `batch.solve` pass over the
+    points, sorted as floats, and the sorted schemes."""
+    points = sorted((float(snr_db), float(pc_dbm)) for snr_db, pc_dbm in points)
     schemes = sorted(cfg.schemes)
-    res = batch.solve(schemes, chans, params,
-                      equal_gain_phased=cfg.equal_gain == "phased")
-    # (scheme, point, trial) order, flattened
-    n_s, n_p, n_t = res.status.shape
-    status = res.status.ravel()
-    beta, margins = res.beta.reshape(2, -1), res.margins.reshape(4, -1)
-    ok = status == "ok"
-    p_r_db = np.full(len(status), np.nan)
+    res = batch.solve(schemes, chans, batch.OperatingPoints(
+        point_params(cfg, *p) for p in points),
+        equal_gain_phased=cfg.equal_gain == "phased")
+    ok = res.status == "ok"
+    p_r_db = np.full(ok.shape, np.nan)
     # math.log10, as in `scenario.db_from_power`: np.log10 can differ in
     # the last bit; the multiply by 10 rounds the same in numpy
-    p_r_db[ok] = 10.0 * np.array(list(map(math.log10,
-                                          res.p_r.ravel()[ok].tolist())))
-    snr_db, pc_dbm = (np.repeat(np.array(v, dtype=float), n_t)
-                      for v in zip(*points))
-    columns = {
-        "scheme": np.repeat(schemes, n_p * n_t),
-        "snr_db": np.tile(snr_db, n_s),
-        "pc_dbm": np.tile(pc_dbm, n_s),
-        "trial": np.tile(np.arange(n_t), n_s * n_p),
-        "seed": np.tile(chans.seeds, n_s * n_p),
-        "p_r_db": p_r_db,
-        "beta1": beta[0], "beta2": beta[1],
-        "margin_up1": margins[0], "margin_up2": margins[1],
-        "margin_down1": margins[2], "margin_down2": margins[3],
-        "status": status,
-    }
-    order = np.lexsort((columns["trial"], columns["scheme"],
-                        columns["pc_dbm"], columns["snr_db"]))
-    table = RecordTable(columns).take(order)
-    # each (point, scheme) bucket is a run of n_t rows in trial order,
-    # unless the lexsort ranks two points equal (0.0 and -0.0 alike, or
-    # both NaN) and interleaves their trials
-    ranked = {tuple(v if v == v else "nan" for v in map(float, p))
-              for p in points}
-    table._run = n_t if len(ranked) == len(points) else 0
-    return table
+    p_r_db[ok] = 10.0 * np.array(list(map(math.log10, res.p_r[ok].tolist())))
+    # batch.solve's (S, P, T) to the (P, S, T) of records.csv
+    grids = (np.ascontiguousarray(v.swapaxes(0, 1))
+             for v in (p_r_db, *res.beta, *res.margins, res.status))
+    return RecordTable(points, schemes, chans.seeds,
+                       dict(zip(_VALUE_COLUMNS, grids)))
 
 
 def summarize(records: RecordTable) -> list:
-    """Per (scheme, axis point) mean dB power, standard error and counts.
+    """Per (scheme, axis point) mean dB power, standard error and counts,
+    by scheme, then point.
 
-    Rows are sorted by (scheme, snr_db, pc_dbm, trial) first, so the result
-    does not depend on their order. The ok values of a bucket are then one
-    contiguous run, and the buckets with k ok values are reduced as one
-    (buckets, k) array along its contiguous axis: np.mean and np.std give
-    each row the bits of a call on that row alone.
+    Each bucket's row of T trials is read in trial order, and the buckets
+    with k ok trials are reduced as one (buckets, k) array along its
+    contiguous axis: np.mean and np.std give each row the bits of a call on
+    that bucket's ok values alone.
     """
-    cols = records.columns
-    order = np.lexsort((cols["trial"], cols["pc_dbm"], cols["snr_db"],
-                        cols["scheme"]))
-    keys = [cols[c][order] for c in ("scheme", "snr_db", "pc_dbm")]
-    ok = cols["status"][order] == "ok"
-    vals = cols["p_r_db"][order][ok]
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for k in keys:
-        new[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.append(starts, len(order)))
-    counts = np.add.reduceat(ok, starts)
-    first = np.cumsum(counts) - counts   # where each bucket's ok run starts
-    mean = np.full(len(starts), np.nan)
-    stderr = np.full(len(starts), np.nan)
+    n_p, n_s, n_t = records.shape
+    # one row per (scheme, point) bucket, in summary order
+    vals, status = (records.values[c].swapaxes(0, 1).reshape(n_s * n_p, n_t)
+                    for c in ("p_r_db", "status"))
+    ok = status == "ok"
+    counts = np.count_nonzero(ok, axis=1)
+    mean = np.full(len(counts), np.nan)
+    stderr = np.full(len(counts), np.nan)
     for n_ok in set(counts.tolist()) - {0}:
-        sel = np.flatnonzero(counts == n_ok)
-        rows = vals[first[sel, None] + np.arange(n_ok)]
+        sel = counts == n_ok
+        rows = vals[sel][ok[sel]].reshape(-1, n_ok)
         mean[sel] = np.mean(rows, axis=1)
         stderr[sel] = (np.std(rows, axis=1, ddof=1) / math.sqrt(n_ok)
                        if n_ok > 1 else 0.0)
-    fields = ([k[starts].tolist() for k in keys]
-              + [mean.tolist(), stderr.tolist(), counts.tolist(),
-                 (sizes - counts).tolist()])
-    return [SweepSummary(*row) for row in zip(*fields)]
+    cells = zip(product(records.schemes, records.points), mean.tolist(),
+                stderr.tolist(), counts.tolist())
+    return [SweepSummary(scheme, snr_db, pc_dbm, m, e, k, n_t - k)
+            for (scheme, (snr_db, pc_dbm)), m, e, k in cells]
 
 
 def records_csv(records: RecordTable) -> str:
-    """The records.csv text, formatted from the columns in one printf pass.
+    """The records.csv text, formatted from the grid in one printf pass.
 
-    A table that carries runs, which every `_run_batch` table whose points
-    do not repeat does, has its key cells formatted once per run and its
-    trial and seed cells once per position in a run. The row template is
-    built from those strings, and the printf pass converts only each row's
-    seven float cells and its status, read row-major from one (rows, 8)
-    array. Any other table (a `RecordTable.take`, repeated points) is
-    formatted row by row, all 13 cells of every row. On 1000 rows that pass
-    spends 61% of its time on the float cells, 25% on the other six and
-    13% on gathering them; the run pass takes 22% less, 78% of it on the
-    floats.
+    Each (point, scheme) run's key cells are formatted once, and the trial
+    and seed cells once per trial. The row template is built from those
+    strings, and the printf pass converts only each row's seven float cells
+    and its status, read row-major from one (rows, 8) array.
     """
-    cols = records.columns
-    n = len(records)
-    header = ",".join(RECORD_COLUMNS) + "\n"
-    run = records._run
-    if not run:
-        cells = zip(*(cols[c].tolist() for c in RECORD_COLUMNS))
-        return header + _ROW_FORMAT * n % tuple(chain.from_iterable(cells))
-    keys = [_KEY_FORMAT % k
-            for k in zip(*(cols[c][::run].tolist() for c in _KEY_COLUMNS))]
+    keys = [_KEY_FORMAT % (scheme, *point)
+            for point, scheme in product(records.points, records.schemes)]
     # key.join(rows) is one run: key + rows[1] + key + rows[2] + ...
-    rows = [""] + [_TRIAL_FORMAT % t + _TAIL_FORMAT
-                   for t in zip(cols["trial"][:run].tolist(),
-                                cols["seed"][:run].tolist())]
-    template = "".join(chain([header], (key.join(rows) for key in keys)))
-    cells = np.empty((n, len(_TAIL_COLUMNS)), dtype=object)
-    for i, c in enumerate(_TAIL_COLUMNS):
-        cells[:, i] = cols[c]
+    rows = [""] + [_TRIAL_FORMAT % t + _VALUE_FORMAT
+                   for t in enumerate(records.seeds.tolist())]
+    template = "".join(chain([",".join(RECORD_COLUMNS) + "\n"],
+                             (key.join(rows) for key in keys)))
+    cells = np.empty((len(records), len(_VALUE_COLUMNS)), dtype=object)
+    for i, c in enumerate(_VALUE_COLUMNS):
+        cells[:, i] = records.values[c].ravel()
     # dropping the array before the printf pass lowers the peak
     cells = tuple(cells.ravel().tolist())
     return template % cells
@@ -302,7 +262,7 @@ def run_sweep(cfg: ScenarioConfig, records_path=None, summary_path=None):
 def failure_fraction(records: RecordTable) -> float:
     if not len(records):
         return 0.0
-    return np.count_nonzero(records.columns["status"] != "ok") / len(records)
+    return np.count_nonzero(records.values["status"] != "ok") / len(records)
 
 
 def _gain_chain(g1, g2) -> np.ndarray:

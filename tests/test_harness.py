@@ -92,13 +92,6 @@ class TestSweep:
             if r.status == "ok":
                 assert all(m >= -harness.MARGIN_SLACK for m in r.margins())
 
-    def test_summary_order_independent(self):
-        cfg = small_cfg(trials=4, schemes=(1, 2))
-        records, summaries = harness.run_sweep(cfg)
-        rng = np.random.default_rng(0)
-        again = harness.summarize(records.take(rng.permutation(len(records))))
-        assert again == summaries
-
     def test_row_view(self):
         cfg = small_cfg(trials=3, schemes=(2, 4), axis="snr",
                         axis_values=(10.0, 0.0))
@@ -111,6 +104,19 @@ class TestSweep:
         assert [(r.snr_db, r.scheme, r.trial) for r in rows[:4]] == [
             (0.0, 2, 0), (0.0, 2, 1), (0.0, 2, 2), (0.0, 4, 0)]
         assert {type(v) for v in vars(rows[0]).values()} == {int, float, str}
+        # an int-valued config point gives float snr_db and pc_dbm cells
+        records, _ = harness.run_sweep(small_cfg(trials=2, snr_db=20))
+        for row in list(records) + [records[0], records[-1]]:
+            assert type(row.snr_db) is float and type(row.pc_dbm) is float
+
+    @pytest.mark.parametrize("snr_db, pc_dbm", [
+        (math.inf, 10.0), (-3100.0, 10.0), (math.nan, 10.0),
+        (20.0, math.inf), (20.0, -5000.0)],
+        ids=("inf-snr", "overflow-snr", "nan-snr", "inf-pc", "zero-pc"))
+    def test_run_point_checks_its_point(self, snr_db, pc_dbm):
+        # the point passes ScenarioConfig's checks, as an axis point does
+        with pytest.raises(ConfigError):
+            harness.run_point(small_cfg(trials=2), snr_db, pc_dbm)
 
     def test_axis_points(self):
         cfg = small_cfg(axis="snr", axis_values=(0.0, 10.0))
@@ -571,61 +577,37 @@ class TestColumnarOutput:
         _assert_same_output(cfg, harness.axis_points(cfg), _seeded(cfg))
 
     @pytest.mark.parametrize("axis_values", [
-        pytest.param((30.0, 10.0, 30.0, 0.0), id="unsorted-duplicated"),
+        pytest.param((30.0, 10.0, 0.0), id="unsorted"),
         pytest.param((-0.0, 15.0), id="negative-zero"),
-        pytest.param((0.0, 25.0, -0.0), id="both-zeros"),
     ])
     def test_axis_values(self, axis_values):
-        # `ScenarioConfig` rejects repeated axis values, so the points go to
-        # `_run_batch` directly: its ordering of equal points stays covered
+        # `_run_batch` sorts the points before it solves on them
         cfg = ScenarioConfig(n=3, trials=5, master_seed=21)
         _assert_same_output(cfg, [(v, cfg.pc_dbm) for v in axis_values],
                             _seeded(cfg))
 
-    @pytest.mark.parametrize("snr_db, trials, run", [
-        # one run per (point, scheme) bucket; -0.0 prints as "-0"
-        pytest.param((-0.0, 15.0), 30, 30, id="negative-zero"),
-        # the 200 dB runs fail, the 20 dB runs do not
-        pytest.param((200.0, 20.0), 30, 30, id="failed-and-ok"),
-        # one-trial sweeps: every bucket is a run of one row; 8 rows, the
-        # 28 rows of a one-trial fig2 sweep, and 120 rows
-        pytest.param((0, 20), 1, 1, id="one-trial-8-rows"),
-        pytest.param(tuple(range(0, 35, 5)), 1, 1, id="one-trial-28-rows"),
-        pytest.param(tuple(range(0, 60, 2)), 1, 1, id="one-trial"),
-        # repeated points, equal or up to the sign of zero, share buckets
-        # that list every trial twice: no runs
-        pytest.param((30.0, 10.0, 30.0), 30, 0, id="repeated"),
-        pytest.param((0.0, 25.0, -0.0), 30, 0, id="both-zeros"),
+    @pytest.mark.parametrize("snr_db, trials", [
+        # -0.0 prints as "-0"
+        pytest.param((-0.0, 15.0), 30, id="negative-zero"),
+        # the 200 dB records fail, the 20 dB records do not
+        pytest.param((200.0, 20.0), 30, id="failed-and-ok"),
+        # one-trial sweeps: every (point, scheme) run is one row; 8 rows,
+        # the 28 rows of a one-trial fig2 sweep, and 120 rows
+        pytest.param((0, 20), 1, id="one-trial-8-rows"),
+        pytest.param(tuple(range(0, 35, 5)), 1, id="one-trial-28-rows"),
+        pytest.param(tuple(range(0, 60, 2)), 1, id="one-trial"),
     ])
-    def test_run_layout(self, snr_db, trials, run):
-        # the run length `_run_batch` stores, which `records_csv` reads
+    def test_run_layout(self, snr_db, trials):
+        # the (point, scheme, trial) grid that `records_csv` reads
         cfg = ScenarioConfig(n=3, trials=trials, master_seed=21)
         table = _assert_same_output(cfg, [(float(v), cfg.pc_dbm)
                                           for v in snr_db], _seeded(cfg))
-        assert table._run == run
-
-    def test_nan_points(self):
-        # the lexsort ranks two NaN points equal too and interleaves their
-        # trials: no runs (the per-record references reject NaN points)
-        cfg = ScenarioConfig(n=3, trials=5, master_seed=21)
-        table = harness._run_batch(
-            cfg, [(float("nan"), 10.0), (20.0, 10.0), (float("nan"), 10.0)],
-            batch.ChannelBatch.stack(_seeded(cfg)))
-        assert table._run == 0
-        assert harness.records_csv(table) == _records_csv_reference(table)
-
-    def test_permuted_table(self):
-        # a permuted table carries no runs and is formatted row by row
-        table = harness.run_sweep(fig2_preset())[0]
-        assert table._run == 100
-        table = table.take(np.random.default_rng(4).permutation(len(table)))
-        assert table._run == 0
-        assert harness.records_csv(table) == _records_csv_reference(table)
+        assert table.shape == (len(snr_db), len(cfg.schemes), trials)
 
     def test_records_csv_in_bounded_memory(self):
-        # 28 000 rows: the run pass holds 8 Python cells a row, seven
-        # floats and the status, 12.4 MB at peak; 13 cells a row, as the
-        # row-by-row pass holds them, take 18.8 MB
+        # 28 000 rows: the printf pass holds 8 Python cells a row, seven
+        # floats and the status, 12.4 MB at peak; all 13 cells of a row
+        # would take 18.8 MB
         records = harness.run_sweep(fig2_preset(trials=1000))[0]
         tracemalloc.start()
         try:
