@@ -29,7 +29,7 @@ from .design import (BETA_SLACK, GAIN_FLOOR, MARGIN_SLACK, UNIT_NORM_TOL,
                      crossing_vector, frontier_basis, least_power,
                      power_constants, rates, right_hand_sides, splitting,
                      uplink_powers)
-from .errors import DegenerateChannelError, InfeasibleError
+from .errors import DegenerateChannelError, DimensionError, InfeasibleError
 from .optimizer import SchemeId, equal_gain_vector, joint_angles
 
 
@@ -46,8 +46,13 @@ class ChannelBatch:
 
     @classmethod
     def stack(cls, channels):
-        """The batch of a list of `scenario.ChannelRealization`s."""
+        """The batch of a list of `scenario.ChannelRealization`s; an empty
+        list, or vectors of more than one length, is a DimensionError."""
         channels = list(channels)
+        sizes = {np.shape(h) for ch in channels for h in (ch.h1, ch.h2)}
+        if len(sizes) != 1:
+            raise DimensionError(f"need channels of one length, got shapes "
+                                 f"{sorted(sizes)}")
         return cls(np.array([(ch.h1, ch.h2) for ch in channels],
                             dtype=complex),
                    np.array([ch.seed for ch in channels], dtype=np.uint64))

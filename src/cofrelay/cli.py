@@ -3,8 +3,9 @@
 Subcommands: ``solve`` (single channel, prints the design), ``sweep``
 (Monte Carlo sweep with CSV output, presets fig2/fig3), ``oracle-check``
 (scheme 1 and the paper's alternation against the N=2 exhaustive grid)
-and ``lattice-demo``. Flags override config-file keys. Exit codes: 0 ok,
-1 usage error, 2 excess sweep failures, 3 I/O error.
+and ``lattice-demo``. Each command takes the flags of just the config
+keys it reads; a config file may set any key, and flags override it.
+Exit codes: 0 ok, 1 usage error, 2 excess sweep failures, 3 I/O error.
 """
 
 import argparse
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import harness, lattice, scenario
 from .design import check_rates, verify_rates
-from .errors import CofRelayError, ConfigError
+from .errors import CofRelayError
 from .optimizer import DEFAULT_MAX_ITER, DEFAULT_REL_TOL, alternate, run_scheme
 from .scenario import (ScenarioConfig, fig2_preset, fig3_preset, gen_channel,
                        parse_config, trial_seed, units_from_config,
@@ -39,21 +40,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _add_config_overrides(p):
-    p.add_argument("--config", help="key=value configuration file")
-    p.add_argument("--seed", type=int, dest="master_seed", help="master seed")
-    p.add_argument("--n", type=int, help="relay antenna count")
-    p.add_argument("--eta", type=float, help="power conversion efficiency")
-    p.add_argument("--snr-db", type=float, dest="snr_db")
-    p.add_argument("--pc-dbm", type=float, dest="pc_dbm")
-    p.add_argument("--r1-bar", type=float, dest="r1_bar")
-    p.add_argument("--r2-bar", type=float, dest="r2_bar")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--schemes", help="comma list drawn from 1,2,3,4")
-    p.add_argument("--equal-gain", choices=("phased", "unphased"),
-                   dest="equal_gain")
 
 
 def _build_config(args, preset=None) -> ScenarioConfig:
@@ -82,22 +68,36 @@ def _make_parser() -> _Parser:
                                  "compute-and-forward and power splitting")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", help="solve a single channel and print the design")
-    _add_config_overrides(p)
+    keys = _Parser(add_help=False)
+    keys.add_argument("--config", help="key=value configuration file")
+    keys.add_argument("--seed", type=int, dest="master_seed", help="master seed")
+    keys.add_argument("--n", type=int, help="relay antenna count")
+    keys.add_argument("--eta", type=float, help="power conversion efficiency")
+    keys.add_argument("--snr-db", type=float, dest="snr_db")
+    keys.add_argument("--pc-dbm", type=float, dest="pc_dbm")
+    keys.add_argument("--r1-bar", type=float, dest="r1_bar")
+    keys.add_argument("--r2-bar", type=float, dest="r2_bar")
+    gain = _Parser(add_help=False)
+    gain.add_argument("--equal-gain", choices=("phased", "unphased"),
+                      dest="equal_gain")
+
+    p = sub.add_parser("solve", parents=[keys, gain],
+                       help="solve a single channel and print the design")
     p.add_argument("--trial", type=int, default=0, help="trial index for the seed stream")
     p.add_argument("--scheme", type=int, default=1, choices=(1, 2, 3, 4))
 
-    p = sub.add_parser("sweep", help="Monte Carlo sweep, writes records.csv and summary.csv")
-    _add_config_overrides(p)
+    p = sub.add_parser("sweep", parents=[keys, gain],
+                       help="Monte Carlo sweep, writes records.csv and summary.csv")
+    p.add_argument("--trials", type=int)
+    p.add_argument("--schemes", help="comma list drawn from 1,2,3,4")
     p.add_argument("--preset", choices=("fig2", "fig3"))
     p.add_argument("--axis", choices=("none", "snr", "pc"))
     p.add_argument("--axis-values", dest="axis_values",
                    help="comma list of axis points")
     p.add_argument("--out-dir", default=".")
 
-    p = sub.add_parser("oracle-check", help="compare scheme 1 and the "
-                       "alternation with the N=2 grid oracle")
-    _add_config_overrides(p)
+    p = sub.add_parser("oracle-check", parents=[keys], help="compare scheme 1 "
+                       "and the alternation with the N=2 grid oracle")
     p.add_argument("--rel-tol", type=float, default=DEFAULT_REL_TOL,
                    help="stopping tolerance of the alternation")
     p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER,
@@ -106,11 +106,13 @@ def _make_parser() -> _Parser:
     p.add_argument("--resolution", type=int, default=64)
 
     p = sub.add_parser("lattice-demo", help="compute-and-forward round-trip trace")
-    p.add_argument("--dim", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scales", default="1,4,8", help="fine,mid,coarse scales")
     p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--exhaustive", action="store_true")
+    # no default, so that argparse refuses --exhaustive --dim 8 too
+    dim = p.add_mutually_exclusive_group()
+    dim.add_argument("--dim", type=int, help="codeword dimension (default 8)")
+    dim.add_argument("--exhaustive", action="store_true")
     return parser
 
 
@@ -199,14 +201,15 @@ def _cmd_lattice_demo(args) -> int:
         scales = ()
     if len(scales) != 3:
         raise _UsageError("--scales needs exactly three comma-separated numbers")
+    dim = 8 if args.dim is None else args.dim
     # the demo draws dim codewords per user; refused before any allocation
-    if not 1 <= args.dim <= lattice.MAX_CODEBOOK:
+    if not 1 <= dim <= lattice.MAX_CODEBOOK:
         raise _UsageError(f"--dim must be in [1, {lattice.MAX_CODEBOOK}]")
     if args.seed < 0:
         raise _UsageError("--seed must be >= 0")
     if not 0.0 <= args.sigma2 < math.inf:
         raise _UsageError("--sigma2 must be finite and >= 0")
-    harness.lattice_demo(scales=scales, dim=args.dim, seed=args.seed,
+    harness.lattice_demo(scales=scales, dim=dim, seed=args.seed,
                          sigma2=args.sigma2, exhaustive=args.exhaustive)
     return EXIT_OK
 
@@ -224,7 +227,7 @@ def main(argv=None) -> int:
         if args.command == "lattice-demo":
             return _cmd_lattice_demo(args)
         raise _UsageError(f"unknown command {args.command!r}")
-    except (_UsageError, ConfigError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

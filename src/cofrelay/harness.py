@@ -144,7 +144,8 @@ def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
     scheme and trial: the batched pass of `run_sweep` at a single point,
     on the configured trials' channels or on the given list of
     `scenario.ChannelRealization`s. The point passes `ScenarioConfig`'s
-    checks, or ConfigError is raised."""
+    checks, or ConfigError is raised; given channels of other than
+    ``cfg.n`` antennas are a DimensionError."""
     cfg = with_overrides(cfg, snr_db=snr_db, pc_dbm=pc_dbm, axis="none",
                          axis_values=())
     if channels is None:
@@ -152,6 +153,9 @@ def run_point(cfg: ScenarioConfig, snr_db: float, pc_dbm: float,
                                                  cfg.n))
     else:
         chans = batch.ChannelBatch.stack(channels)
+        if chans.h.shape[-1] != cfg.n:
+            raise DimensionError(f"channels of {chans.h.shape[-1]} antennas "
+                                 f"at n={cfg.n}")
     return _run_batch(cfg, axis_points(cfg), chans)
 
 

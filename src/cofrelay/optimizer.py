@@ -84,14 +84,15 @@ def _alternate_from(g_init, channel, params, max_iter, rel_tol):
     The recorded power sequence is non-increasing up to solver tolerance:
     the beamformer step optimizes at the incumbent combiner, and the
     combiner step keeps the incumbent whenever its subproblem fails to
-    improve on it numerically.
+    improve on it numerically. The run stops when a half step changes the
+    power by less than ``rel_tol``: since the previous cycle's power
+    p_prev >= p_f >= p_g, (p_f - p_g) / p_f <= (p_prev - p_g) / p_prev, so
+    a full-cycle rule would never stop a run sooner.
     """
     g = np.asarray(g_init, dtype=complex)
     iterations = []
     converged = False
     f = None
-    p_g = None
-    p_g_prev = None
     for _ in range(max_iter):
         bf = solve_beamformer(g, channel, params)
         f = bf.f
@@ -105,10 +106,6 @@ def _alternate_from(g_init, channel, params, max_iter, rel_tol):
         iterations.append((p_f, p_g))
         if _rel_change(p_f, p_g) < rel_tol:
             converged = True
-        elif p_g_prev is not None and _rel_change(p_g_prev, p_g) < rel_tol:
-            converged = True
-        p_g_prev = p_g
-        if converged:
             break
 
     p_final = required_power(f, g, channel, params)
@@ -126,9 +123,9 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
     oracle check and the tests compare the two.
 
     The first run always starts from the uniform combiner and stops when the
-    relative relay-power change over a half step or a full cycle drops below
-    ``rel_tol``. Alternating minimization is only locally convergent, so by
-    default a handful of deterministic warm starts (sum-channel equal-gain,
+    relative relay-power change over a half step drops below ``rel_tol``.
+    Alternating minimization is only locally convergent, so by default a
+    handful of deterministic warm starts (sum-channel equal-gain,
     per-user matched filters, the combiner optimum at the equal-gain
     beamformer) are polished the same way and the best converged run is
     returned; its trace is monotone like any single run. ``multi_start=False`` gives the bare single-start behavior.
@@ -138,11 +135,11 @@ def alternate(channel, params: SystemParams, max_iter: int = DEFAULT_MAX_ITER,
             raise DegenerateChannelError(f"zero channel toward user {user}")
     g_inits = [equal_gain_vector(channel, phased=False)]
     if multi_start:
-        g_inits.append(equal_gain_vector(channel, phased=True))
+        phased = equal_gain_vector(channel, phased=True)
+        g_inits.append(phased)
         g_inits.append(np.conj(channel.h1) / np.linalg.norm(channel.h1))
         g_inits.append(np.conj(channel.h2) / np.linalg.norm(channel.h2))
-        f_eg = equal_gain_vector(channel, phased=True)
-        g_inits.append(solve_combiner(f_eg, channel, params).g)
+        g_inits.append(solve_combiner(phased, channel, params).g)
 
     best = None
     seen = []

@@ -1,3 +1,4 @@
+import argparse
 import io
 import itertools
 import math
@@ -117,6 +118,14 @@ class TestSweep:
         # the point passes ScenarioConfig's checks, as an axis point does
         with pytest.raises(ConfigError):
             harness.run_point(small_cfg(trials=2), snr_db, pc_dbm)
+
+    @pytest.mark.parametrize("sizes", [(), (2, 3), (2, 2)],
+                             ids=("empty", "ragged", "wrong-n"))
+    def test_run_point_checks_its_channels(self, sizes):
+        # the given channels must be one or more draws of cfg.n antennas
+        channels = [gen_channel(t, n) for t, n in enumerate(sizes)]
+        with pytest.raises(DimensionError):
+            harness.run_point(small_cfg(n=4), 20.0, 10.0, channels=channels)
 
     def test_axis_points(self):
         cfg = small_cfg(axis="snr", axis_values=(0.0, 10.0))
@@ -1137,13 +1146,42 @@ class TestCli:
                       ["solve", "--pc-dbm", "3080"],
                       ["sweep", "--axis", "snr",
                        "--axis-values=-3020,-3040,-3080"],
-                      ["sweep", "--axis", "pc", "--axis-values", "0,3080"]]
+                      ["sweep", "--axis", "pc", "--axis-values", "0,3080"],
+                      # each command takes only the flags of the keys it
+                      # reads: solve runs one trial of one scheme, and
+                      # oracle-check runs --channels trials of scheme 1,
+                      # whose alternation starts from both equal-gain vectors
+                      ["solve", "--trials", "2"],
+                      ["solve", "--schemes", "3"],
+                      ["oracle-check", "--trials", "2"],
+                      ["oracle-check", "--schemes", "1"],
+                      ["oracle-check", "--equal-gain", "unphased"],
+                      # the exhaustive sweep runs at dim 1, whatever --dim
+                      ["lattice-demo", "--exhaustive", "--dim", "4"],
+                      ["lattice-demo", "--dim", "8", "--exhaustive"]]
                      + [[cmd] + flags for cmd in ("sweep", "solve")
                         for flags in out_of_range]):
             assert cli.main(argv) == cli.EXIT_USAGE
             captured = capsys.readouterr()
             assert captured.err.startswith("error: ")
             assert "diff range" not in captured.out
+
+    def test_flags_per_command(self):
+        keys = {"--config", "--seed", "--n", "--eta", "--snr-db", "--pc-dbm",
+                "--r1-bar", "--r2-bar"}
+        flags = {"solve": keys | {"--equal-gain", "--trial", "--scheme"},
+                 "sweep": keys | {"--equal-gain", "--trials", "--schemes",
+                                  "--preset", "--axis", "--axis-values",
+                                  "--out-dir"},
+                 "oracle-check": keys | {"--rel-tol", "--max-iter",
+                                         "--channels", "--resolution"},
+                 "lattice-demo": {"--dim", "--seed", "--scales", "--sigma2",
+                                  "--exhaustive"}}
+        sub = next(a for a in cli._make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        got = {cmd: {s for a in p._actions for s in a.option_strings}
+               - {"-h", "--help"} for cmd, p in sub.choices.items()}
+        assert got == flags
 
     @pytest.mark.parametrize("key,value", [("max_iter", 0),
                                            ("rel_tol", -1e-3)])
@@ -1241,8 +1279,7 @@ class TestCli:
         assert "match=True" in capsys.readouterr().out
 
     def test_oracle_check(self, capsys):
-        rc = cli.main(["oracle-check", "--channels", "3", "--trials", "2",
-                       "--snr-db", "0"])
+        rc = cli.main(["oracle-check", "--channels", "3", "--snr-db", "0"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "diff range" in out
